@@ -632,16 +632,8 @@ CommPlans::StmtPlan CommPlans::build_stmt(
   return plan;
 }
 
-void CommPlans::run_pre(const SpmdStmt& s, const std::string& key,
-                        std::span<const std::string> key_names) {
-  auto it = stmts_.find(key);
-  if (it == stmts_.end()) {
-    ++stats_.misses;
-    it = stmts_.emplace(key, build_stmt(s, key_names)).first;
-  } else {
-    ++stats_.hits;
-  }
-  for (Slot& slot : it->second.slots) run_slot(s, slot);
+void CommPlans::run_pre(const SpmdStmt& s, StmtPlan& plan) {
+  for (Slot& slot : plan.slots) run_slot(s, slot);
 }
 
 void CommPlans::run_slot(const SpmdStmt& s, Slot& slot) {
@@ -896,15 +888,6 @@ bool CommPlans::execute_write(const parti::SchedulePtr& sched,
 // --- invalidation ------------------------------------------------------------
 
 void CommPlans::invalidate_array(const std::string& name) {
-  for (auto it = stmts_.begin(); it != stmts_.end();) {
-    const auto& arrays = it->second.arrays;
-    if (std::find(arrays.begin(), arrays.end(), name) != arrays.end()) {
-      ++stats_.invalidations;
-      it = stmts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   for (auto it = scheds_.begin(); it != scheds_.end();) {
     if (it->second.array == name) {
       ++stats_.invalidations;

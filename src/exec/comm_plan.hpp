@@ -31,15 +31,16 @@
 // cannot bake faithfully is declined slot-by-slot and runs the legacy
 // action through a callback.
 //
-// Cache key and invalidation contract: statement plans are keyed by the
-// exact plan_key() string of the execution plan they accompany (same baked
-// runtime scalars), and invalidate_array(name) drops every plan touching
-// `name` — called from the same redistribute/remap sites that invalidate
-// the ExecPlan/Schedule caches (docs/EXECUTION.md).
+// Cache and invalidation contract: a statement's StmtPlan is one part of
+// its StmtCache entry (exec/stmt_cache.hpp), next to the execution plan it
+// accompanies and under the same baked runtime scalars, so the two are
+// built and dropped together.  CommPlans itself only caches the PARTI
+// executors, keyed by schedule; invalidate_array(name) drops those bound
+// to `name` — called from the same redistribute/remap site that
+// invalidates the StmtCache and the ScheduleCache (docs/EXECUTION.md).
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <variant>
@@ -52,9 +53,9 @@
 namespace f90d::exec {
 
 struct CommPlanStats {
-  long long hits = 0;           ///< run_pre / executor served from a plan
-  long long misses = 0;         ///< plans built
-  long long invalidations = 0;  ///< plans dropped by invalidate_array
+  long long hits = 0;           ///< executor served from a compiled entry
+  long long misses = 0;         ///< executor entries compiled
+  long long invalidations = 0;  ///< entries dropped by invalidate_array
   /// Bytes moved through coalesced contiguous memcpy runs (pack+unpack
   /// fast path; strided element copies are not counted).
   long long bytes_memcpy_fast_path = 0;
@@ -115,15 +116,6 @@ class CommPlans {
   CommPlans(Env& env, CommHooks hooks, bool use_native)
       : env_(&env), hooks_(std::move(hooks)), use_native_(use_native) {}
 
-  /// Run every non-eliminated pre-communication action of `s` in the tree
-  /// walk's order, through compiled plans where possible.  `key` is the
-  /// statement's execution-plan key and `key_names` the scalar names that
-  /// key covers — a plan only bakes values derived from covered scalars
-  /// (anything else is declined to the legacy action, so a stale bake is
-  /// impossible by construction).
-  void run_pre(const compile::SpmdStmt& s, const std::string& key,
-               std::span<const std::string> key_names);
-
   /// Compiled PARTI read executor into `b` (dvals or ivals by element
   /// type).  Returns false when the schedule/array cannot be compiled —
   /// the caller falls back to parti::execute_read.  Identical messages,
@@ -138,10 +130,33 @@ class CommPlans {
   bool execute_write(const parti::SchedulePtr& sched, const std::string& array,
                      std::span<const double> values);
 
-  /// Drop every plan bound to `array` (redistribute/remap contract).
+  /// Drop every executor entry bound to `array` (redistribute/remap
+  /// contract).
   void invalidate_array(const std::string& name);
 
   [[nodiscard]] const CommPlanStats& stats() const { return stats_; }
+
+ private:
+  struct Slot;
+
+ public:
+  /// A statement's compiled pre-communication actions.
+  struct StmtPlan {
+    std::vector<Slot> slots;          ///< in run_pre_actions order
+    std::vector<std::string> arrays;  ///< storage the slots bake
+  };
+
+  /// Compile every non-eliminated pre-communication action of `s`, in the
+  /// tree walk's order.  `key_names` are the scalar names the statement's
+  /// cache key covers — a slot only bakes values derived from covered
+  /// scalars (anything else is declined to the legacy action, so a stale
+  /// bake is impossible by construction).
+  StmtPlan build_stmt(const compile::SpmdStmt& s,
+                      std::span<const std::string> key_names);
+
+  /// Run a built StmtPlan: compiled slots directly, declined slots through
+  /// the legacy hook.
+  void run_pre(const compile::SpmdStmt& s, StmtPlan& plan);
 
  private:
   // --- per-kind plans -------------------------------------------------------
@@ -190,11 +205,6 @@ class CommPlans {
     std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan> plan;
   };
 
-  struct StmtPlan {
-    std::vector<Slot> slots;  ///< in run_pre_actions order
-    std::vector<std::string> arrays;  ///< invalidation scope
-  };
-
   /// Compiled executor state for one PARTI schedule.  Keyed by schedule
   /// identity; `owner` keeps the Schedule alive so the key cannot be
   /// recycled (no ABA) while the entry exists.
@@ -217,8 +227,6 @@ class CommPlans {
   };
 
   // --- build ---------------------------------------------------------------
-  StmtPlan build_stmt(const compile::SpmdStmt& s,
-                      std::span<const std::string> key_names);
   bool build_shift(const compile::CommAction& a, const compile::RefInfo& ref,
                    ShiftPlan& out);
   bool build_bcast(const compile::CommAction& a, const compile::RefInfo& ref,
@@ -251,7 +259,6 @@ class CommPlans {
   CommHooks hooks_;
   bool use_native_ = false;
   CommPlanStats stats_;
-  std::map<std::string, StmtPlan> stmts_;
   std::map<const parti::Schedule*, SchedEntry> scheds_;
   // Index-copy kernels shared by every schedule entry (8-byte elements).
   native::KernelFn gather8_ = nullptr;

@@ -1,8 +1,5 @@
 #include "exec/irregular_plan.hpp"
 
-#include <algorithm>
-#include <sstream>
-
 #include "support/diag.hpp"
 
 namespace f90d::exec {
@@ -118,82 +115,6 @@ Index run_irregular_scatter(const IrregularPlan& p, PlanScratch& scratch,
         dest_ids.push_back(
             flat_of(p.lhs_idx, p.core.refs, varvals, offs, scratch.stack));
       });
-}
-
-std::string irregular_plan_key(const compile::SpmdStmt& s, const Env& env,
-                               const std::vector<std::string>& scalars) {
-  std::ostringstream os;
-  os << "irr:" << s.stmt_id << "@";
-  for (const std::string& nm : scalars)
-    os << nm << "=" << env.scalars.at(nm).as_i() << ";";
-  return os.str();
-}
-
-const IrrPlanEntry& IrregularPlanCache::get_or_build(
-    int stmt_id, const std::string& key,
-    const std::function<IrrPlanEntry()>& build) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  IrrPlanEntry e = build();
-  if (!e.plan && e.structural && stmt_id >= 0) {
-    structural_declines_.insert(stmt_id);
-    if (shared_) shared_->record_structural_decline(shared_ns_, stmt_id);
-  }
-  return map_.emplace(key, std::move(e)).first->second;
-}
-
-bool IrregularPlanCache::declined_structurally(int stmt_id) const {
-  if (structural_declines_.count(stmt_id) > 0) return true;
-  if (shared_ && shared_->declined_structurally(shared_ns_, stmt_id)) {
-    structural_declines_.insert(stmt_id);
-    ++shared_hits_;
-    return true;
-  }
-  return false;
-}
-
-const std::vector<std::string>& IrregularPlanCache::key_scalars(
-    int stmt_id, const std::function<std::vector<std::string>()>& collect) {
-  auto it = key_scalars_.find(stmt_id);
-  if (it != key_scalars_.end()) return it->second;
-  if (shared_) {
-    std::vector<std::string> names;
-    if (shared_->lookup_key_scalars(shared_ns_, stmt_id, names)) {
-      ++shared_hits_;
-      return key_scalars_.emplace(stmt_id, std::move(names)).first->second;
-    }
-  }
-  auto& entry = key_scalars_.emplace(stmt_id, collect()).first->second;
-  if (shared_) shared_->install_key_scalars(shared_ns_, stmt_id, entry);
-  return entry;
-}
-
-void IrregularPlanCache::invalidate_array(const std::string& array) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    const IrrPlanEntry& e = it->second;
-    const bool bound =
-        e.plan != nullptr &&
-        std::find(e.plan->core.arrays.begin(), e.plan->core.arrays.end(),
-                  array) != e.plan->core.arrays.end();
-    if (bound) {
-      it = map_.erase(it);
-      ++invalidations_;
-    } else {
-      ++it;
-    }
-  }
-}
-
-void IrregularPlanCache::clear() {
-  map_.clear();
-  structural_declines_.clear();
-  key_scalars_.clear();
-  hits_ = misses_ = invalidations_ = 0;
-  shared_hits_ = 0;
 }
 
 }  // namespace f90d::exec

@@ -12,8 +12,8 @@
 #include "exec/exec_env.hpp"
 #include "exec/exec_plan.hpp"
 #include "exec/irregular_plan.hpp"
+#include "exec/stmt_cache.hpp"
 #include "native/jit.hpp"
-#include "native/native_exec.hpp"
 #include "parti/schedule.hpp"
 #include "parti/schedule_cache.hpp"
 #include "rts/dist_array.hpp"
@@ -35,6 +35,7 @@ using ast::UnOpKind;
 using exec::Buf;
 using exec::Value;
 using frontend::Symbol;
+using Family = exec::StmtCache::Family;
 using rts::Dad;
 using rts::DistArray;
 using rts::DistKind;
@@ -109,11 +110,8 @@ class Node {
     cache_.set_enabled(opt_.schedule_cache);
     if (opt_.schedule_session != nullptr)
       cache_.set_session(opt_.schedule_session, gc_.my_logical());
-    if (opt_.plan_meta != nullptr) {
-      // Distinct family tags: the two caches share the statement-id space.
-      plans_.set_shared(opt_.plan_meta, opt_.cache_prefix + "|plan");
-      irr_plans_.set_shared(opt_.plan_meta, opt_.cache_prefix + "|irr");
-    }
+    if (opt_.plan_meta != nullptr)
+      stmts_.set_shared(opt_.plan_meta, opt_.cache_prefix);
     apply_init();
   }
 
@@ -540,30 +538,27 @@ class Node {
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
     if (s.stmt_id < 0) return false;
-    if (plans_.declined_structurally(s.stmt_id)) return false;
-    const std::vector<std::string>& key_names = plans_.key_scalars(
-        s.stmt_id, [&] { return exec::plan_key_scalars(s, env_); });
-    exec::plan_key_into(s, env_, key_names, key_scratch_);
-    const std::string& key = key_scratch_;
-    const exec::PlanEntry& entry = plans_.get_or_build(
-        s.stmt_id, key, [&] { return exec::build_exec_plan(s, env_); });
-    if (!entry.plan) return false;
+    if (stmts_.declined_structurally(Family::kRegular, s.stmt_id))
+      return false;
+    const std::vector<std::string>& key_names = stmts_.key_scalars(s, env_);
+    exec::StmtCache::Entry& e = stmts_.entry(s, env_, key_names);
+    const exec::PlanEntry& pe = stmts_.regular(
+        s.stmt_id, e, [&] { return exec::build_exec_plan(s, env_); });
+    if (!pe.plan) return false;
     // Pre-communication is collective and statement-scoped, not
-    // per-element: it runs through the same machinery as the tree walk —
-    // or, when comm plans are on, through cached compiled descriptors
-    // keyed by the same plan key (bit-identical messages and charges).
+    // per-element: it runs through compiled descriptors cached in the
+    // same entry (bit-identical messages and charges to the tree walk).
     // (The planner admits no schedule-based read buffers, so the guarded
     // iteration ranges those would need are not required here.)
-    if (opt_.comm_plans)
-      comm_plans_.run_pre(s, key, key_names);
-    else
-      run_pre_actions(s, {});
+    comm_plans_.run_pre(s, stmts_.comm(e, [&] {
+      return comm_plans_.build_stmt(s, key_names);
+    }));
     // Backend ladder: native kernel when enabled and attachable, tape
     // interpreter otherwise.  Both return the same iteration count, so the
     // simulated cost charged below is identical either way.
     Index iters = -1;
-    if (opt_.native_backend) iters = native_.try_run(entry.plan);
-    if (iters < 0) iters = exec::run_exec_plan(*entry.plan, plan_scratch_);
+    if (opt_.native_backend) iters = stmts_.run_native(e);
+    if (iters < 0) iters = exec::run_exec_plan(*pe.plan, plan_scratch_);
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
     return true;
@@ -579,14 +574,14 @@ class Node {
   bool try_irregular_forall(const SpmdStmt& s) {
     if (opt_.skeleton || !opt_.exec_plans) return false;
     if (s.stmt_id < 0) return false;
-    if (irr_plans_.declined_structurally(s.stmt_id)) return false;
-    const std::vector<std::string>& key_names = irr_plans_.key_scalars(
-        s.stmt_id, [&] { return exec::plan_key_scalars(s, env_); });
-    const exec::IrrPlanEntry& entry = irr_plans_.get_or_build(
-        s.stmt_id, exec::irregular_plan_key(s, env_, key_names),
-        [&] { return exec::build_irregular_plan(s, env_); });
-    if (!entry.plan) return false;
-    const exec::IrregularPlan& plan = *entry.plan;
+    if (stmts_.declined_structurally(Family::kIrregular, s.stmt_id))
+      return false;
+    exec::StmtCache::Entry& e =
+        stmts_.entry(s, env_, stmts_.key_scalars(s, env_));
+    const exec::IrrPlanEntry& pe = stmts_.irregular(
+        s.stmt_id, e, [&] { return exec::build_irregular_plan(s, env_); });
+    if (!pe.plan) return false;
+    const exec::IrregularPlan& plan = *pe.plan;
 
     // Non-schedule pre actions (ghost fills, broadcasts, slabs) run
     // through the tree walk's machinery in the tree walk's order: they
@@ -979,11 +974,12 @@ class Node {
 
     Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
     const Symbol& sm = env_.sym(ref.array);
-    // Compiled executor first (pre-resolved offsets, pooled payloads);
-    // falls back to the generic executor when the entry declines.  Both
+    // Compiled executor first (pre-resolved offsets, pooled payloads) on
+    // the plan rungs; falls back to the generic executor when the entry
+    // declines.  The tree rung stays the uncompiled reference.  Both
     // produce identical buffers, messages and charges.
     const bool compiled =
-        opt_.comm_plans && comm_plans_.execute_read(sched, ref.array, b);
+        opt_.exec_plans && comm_plans_.execute_read(sched, ref.array, b);
     if (sm.type == ast::BaseType::kInteger) {
       if (!compiled)
         b.ivals = parti::execute_read(gc_, *sched, env_.iar.at(ref.array));
@@ -1138,7 +1134,7 @@ class Node {
           }
           const Symbol& sm = env_.sym(lhs.array);
           const bool compiled =
-              opt_.comm_plans &&
+              opt_.exec_plans &&
               comm_plans_.execute_write(sched, lhs.array,
                                         std::span<const double>(values));
           if (sm.type == ast::BaseType::kInteger) {
@@ -1353,13 +1349,13 @@ class Node {
       });
     }
     // Redistribution/remap contract (docs/EXECUTION.md): any operation
-    // that may replace an array's descriptor or storage invalidates the
-    // plans bound to it — and the PARTI schedules whose send/receive lists
-    // were derived from it, whether as the data array or as an indirection
-    // array feeding another statement's subscripts.
-    plans_.invalidate_array(s.dest_array);
-    irr_plans_.invalidate_array(s.dest_array);
-    native_.invalidate_array(s.dest_array);
+    // that may replace an array's descriptor or storage drops the
+    // statement-cache entries bound to it (plans, comm slots and native
+    // kernels together), the compiled PARTI executors over it — and the
+    // PARTI schedules whose send/receive lists were derived from it,
+    // whether as the data array or as an indirection array feeding another
+    // statement's subscripts.
+    stmts_.invalidate_array(s.dest_array);
     cache_.invalidate_array(s.dest_array);
     comm_plans_.invalidate_array(s.dest_array);
     env_.bump_version(s.dest_array);
@@ -1371,26 +1367,28 @@ class Node {
     shared_.result.schedule_misses = cache_.misses();
     shared_.result.schedule_invalidations = cache_.invalidations();
     shared_.result.shared_schedule_hits = cache_.shared_hits();
-    shared_.result.shared_plan_hits =
-        plans_.shared_hits() + irr_plans_.shared_hits();
     shared_.result.schedules_built = schedules_built_;
     shared_.result.gather_bytes = gather_bytes_;
     shared_.result.scatter_bytes = scatter_bytes_;
-    shared_.result.plan_hits = plans_.hits();
-    shared_.result.plan_misses = plans_.misses();
-    shared_.result.plan_invalidations = plans_.invalidations();
-    shared_.result.irregular_hits = irr_plans_.hits();
-    shared_.result.irregular_misses = irr_plans_.misses();
-    shared_.result.irregular_invalidations = irr_plans_.invalidations();
-    const native::NodeStats& ns = native_.stats();
-    shared_.result.native_runs = ns.runs;
-    shared_.result.native_attaches = ns.attaches;
-    shared_.result.native_fallbacks = ns.fallbacks;
-    shared_.result.native_invalidations = ns.invalidations;
+    const exec::StmtCache::Stats& st = stmts_.stats();
+    shared_.result.shared_plan_hits = st.shared_hits;
+    shared_.result.plan_hits = st.regular.hits;
+    shared_.result.plan_misses = st.regular.misses;
+    shared_.result.plan_invalidations = st.regular.invalidations;
+    shared_.result.irregular_hits = st.irregular.hits;
+    shared_.result.irregular_misses = st.irregular.misses;
+    shared_.result.irregular_invalidations = st.irregular.invalidations;
+    shared_.result.native_runs = st.native_runs;
+    shared_.result.native_attaches = st.native_attaches;
+    shared_.result.native_fallbacks = st.native_fallbacks;
+    shared_.result.native_invalidations = st.native_invalidations;
+    // Comm-plan counters: the statement slots (StmtCache) plus the
+    // schedule-keyed PARTI executors (CommPlans).
     const exec::CommPlanStats& cs = comm_plans_.stats();
-    shared_.result.comm_plan_hits = cs.hits;
-    shared_.result.comm_plan_misses = cs.misses;
-    shared_.result.comm_plan_invalidations = cs.invalidations;
+    shared_.result.comm_plan_hits = st.comm_hits + cs.hits;
+    shared_.result.comm_plan_misses = st.comm_misses + cs.misses;
+    shared_.result.comm_plan_invalidations =
+        st.comm_invalidations + cs.invalidations;
     shared_.result.comm_plan_fast_bytes = cs.bytes_memcpy_fast_path;
     shared_.result.pool_reuses = proc_.stats().pool_reuses;
   }
@@ -1440,15 +1438,12 @@ class Node {
 
   exec::Env env_;
   exec::CommPlans comm_plans_;
-  exec::PlanCache plans_;
-  exec::IrregularPlanCache irr_plans_;
+  exec::StmtCache stmts_;
   exec::PlanScratch plan_scratch_;
-  native::NativeExec native_;
   parti::ScheduleCache cache_;
 
   std::map<std::string, Index> frame_;
   std::map<std::string, VarState> var_state_;
-  std::string key_scratch_;  ///< reused plan-key buffer (warm trips: no alloc)
   long long schedules_built_ = 0;
   long long gather_bytes_ = 0;
   long long scatter_bytes_ = 0;

@@ -35,22 +35,20 @@ using rts::Index;
 struct RunOptions {
   bool skeleton = false;
   bool schedule_cache = true;
-  /// Compile FORALLs to cached execution plans (exec/exec_plan.hpp) before
-  /// running them; off forces the tree-walking fallback everywhere
-  /// (differential testing, ablation benches).  Skeleton mode never plans.
+  /// The executor ladder (f90dc --backend).  On (the plan rung), FORALLs
+  /// compile to cached execution plans (exec/exec_plan.hpp), their
+  /// pre-communication to compiled comm plans and their PARTI executors
+  /// to compiled schedule executors (exec/comm_plan.hpp).  Off (the tree
+  /// rung) runs every statement and every communication action on the
+  /// tree walk: the uncompiled reference for differential testing and the
+  /// ablation benches.  Skeleton mode never plans.
   bool exec_plans = true;
-  /// Lower cached plans further to JIT-compiled C++ node functions
-  /// (src/native/) and run those; plans the lowerer declines — or every
-  /// plan, when no toolchain is available — run on the tape interpreter
-  /// exactly as with the flag off.  Requires exec_plans.
+  /// The native rung: lower cached plans further to JIT-compiled C++ node
+  /// functions (src/native/) and run those, and JIT the comm plans'
+  /// pack/unpack loops; plans the lowerer declines — or every plan, when
+  /// no toolchain is available — run on the tape interpreter exactly as
+  /// with the flag off.  Only takes effect with exec_plans.
   bool native_backend = false;
-  /// Compile pre-communication actions and PARTI executors to cached
-  /// communication plans (exec/comm_plan.hpp): baked peers/offsets, strided
-  /// memcpy pack/unpack, pooled zero-copy payloads.  Message sizes, tags,
-  /// time charges and element values are identical either way; off forces
-  /// the tree-walking comm path (ablation, differential testing).  Only
-  /// active on planned statements (requires exec_plans).
-  bool comm_plans = true;
   /// Service mode: this run's collective view of the process-wide schedule
   /// store (src/parti/schedule_cache.hpp).  Per-run object owned by the
   /// caller; run_compiled calls finish() on it after the machine run so
@@ -98,13 +96,13 @@ struct ProgramResult {
   long long schedules_built = 0;
   long long gather_bytes = 0;
   long long scatter_bytes = 0;
-  /// Irregular-plan cache statistics (processor 0): planned-inspector
-  /// reuse across DO trips.
+  /// Statement-cache statistics (processor 0's exec::StmtCache; the caches
+  /// are per-processor but see the same statement sequence), per planner:
+  /// irregular plans (planned-inspector reuse across DO trips) ...
   int irregular_hits = 0;
   int irregular_misses = 0;
   int irregular_invalidations = 0;
-  /// Execution-plan cache statistics (processor 0's cache; the caches are
-  /// per-processor but see the same statement sequence).
+  /// ... and regular execution plans.
   int plan_hits = 0;
   int plan_misses = 0;
   int plan_invalidations = 0;
@@ -120,11 +118,11 @@ struct ProgramResult {
   long long native_compiles = 0;
   long long native_dlopens = 0;
   double native_compile_ms = 0;
-  /// Communication-plan statistics (processor 0): compiled comm actions and
-  /// PARTI executors served from / added to the CommPlans cache, plans
+  /// Communication-plan statistics (processor 0): compiled statement
+  /// comm slots and PARTI executors served from / added to their caches,
   /// dropped by redistribute/remap invalidation, and payload bytes moved
-  /// through coalesced contiguous-memcpy pack/unpack runs.  All zero when
-  /// RunOptions::comm_plans is off (or no statement was planned).
+  /// through coalesced contiguous-memcpy pack/unpack runs.  All zero on the
+  /// tree rung (RunOptions::exec_plans off).
   long long comm_plan_hits = 0;
   long long comm_plan_misses = 0;
   long long comm_plan_invalidations = 0;

@@ -1,7 +1,5 @@
 #include "native/native_exec.hpp"
 
-#include <algorithm>
-
 #include "native/jit.hpp"
 
 namespace f90d::native {
@@ -10,27 +8,20 @@ using exec::ExecPlan;
 using exec::RefPlan;
 using exec::Value;
 
-Index NativeExec::try_run(const exec::PlanPtr& plan) {
-  // Degenerate plans (guarded out, empty nest, zero-trip level) are cheap
-  // on the interpreter and would only pollute the attachment map.
-  if (plan->masked_out || plan->loops.empty()) return -1;
-  for (const exec::PlanLoop& l : plan->loops)
-    if (l.count == 0) return -1;
+bool attachable(const ExecPlan& plan) {
+  if (plan.masked_out || plan.loops.empty()) return false;
+  for (const exec::PlanLoop& l : plan.loops)
+    if (l.count == 0) return false;
+  return true;
+}
 
-  auto it = map_.find(plan.get());
-  Attached& at = it != map_.end() ? it->second : attach(plan);
-  if (at.fn == nullptr) {
-    ++stats_.fallbacks;
-    return -1;
-  }
+Index run_attached(Attachment& at) {
+  if (at.fn == nullptr) return -1;
   // Re-verify every runtime scalar's kind against what the kernel was
   // compiled for; a drifted kind (same slot reused with a different type)
   // silently falls back rather than risking a wrong conversion.
   for (const ScalarBind& b : at.binds) {
-    if (b.src->k != b.kind) {
-      ++stats_.fallbacks;
-      return -1;
-    }
+    if (b.src->k != b.kind) return -1;
     switch (b.kind) {
       case Value::K::kD: at.ds[static_cast<size_t>(b.slot)] = b.src->d; break;
       case Value::K::kI: at.is[static_cast<size_t>(b.slot)] = b.src->i; break;
@@ -46,24 +37,19 @@ Index NativeExec::try_run(const exec::PlanPtr& plan) {
   at.fn(at.lp.data(), at.lv.data(), at.base.data(), at.rb.data(),
         at.st.data(), at.tb.data(), at.ds.data(), at.is.data(),
         at.ls.data());
-  ++stats_.runs;
   return at.iters;
 }
 
-NativeExec::Attached& NativeExec::attach(const exec::PlanPtr& plan) {
-  ++stats_.attaches;
-  Attached& at = map_[plan.get()];
-  at.plan = plan;
-
+Attachment attach(const ExecPlan& p) {
+  Attachment at;
   NativeCache& cache = NativeCache::instance();
   if (!cache.available()) return at;  // fn stays null: permanent fallback
   std::string why;
-  std::optional<Lowered> low = lower_plan(*plan, &why);
+  std::optional<Lowered> low = lower_plan(p, &why);
   if (!low) return at;
   at.fn = cache.get_or_compile(low->source);
   if (at.fn == nullptr) return at;
 
-  const ExecPlan& p = *plan;
   const size_t nv = p.loops.size();
   const size_t nr = p.refs.size();
   at.binds = std::move(low->scalars);
@@ -118,18 +104,6 @@ NativeExec::Attached& NativeExec::attach(const exec::PlanPtr& plan) {
   at.iters = 1;
   for (const exec::PlanLoop& l : p.loops) at.iters *= l.count;
   return at;
-}
-
-void NativeExec::invalidate_array(const std::string& array) {
-  for (auto it = map_.begin(); it != map_.end();) {
-    const std::vector<std::string>& arrays = it->second.plan->arrays;
-    if (std::find(arrays.begin(), arrays.end(), array) != arrays.end()) {
-      it = map_.erase(it);
-      ++stats_.invalidations;
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace f90d::native

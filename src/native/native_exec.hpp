@@ -2,22 +2,22 @@
 // Per-node native execution: attach compiled kernels to cached ExecPlans
 // and run them through the parameterized KernelFn ABI.
 //
-// One NativeExec lives inside each simulated processor's node program,
-// mirroring its PlanCache.  Attachment happens lazily on the first run of
-// a plan: the plan is lowered (native/lower.hpp), compiled or fetched from
-// the process-global NativeCache (native/jit.hpp), and the call-time
-// argument vectors — loop parameters, strides, offset tables, storage
-// pointers, scalar slots — are packed once and reused every trip.
+// An Attachment is one part of a statement's StmtCache entry
+// (exec/stmt_cache.hpp), made lazily on the first run of the entry's plan:
+// the plan is lowered (native/lower.hpp), compiled or fetched from the
+// process-global NativeCache (native/jit.hpp), and the call-time argument
+// vectors — loop parameters, strides, offset tables, storage pointers,
+// scalar slots — are packed once and reused every trip.  The entry owns
+// both the plan and its attachment, so they are invalidated together.
 //
-// try_run() returns the iteration count exactly as run_exec_plan() would
-// (the caller charges simulated cost from it, which is what keeps native
-// and interpreted runs at equal simulated times), or -1 when the caller
-// must fall back to the tape interpreter: lowering declined, the
-// toolchain is unavailable, the compile failed (all memoized per plan),
-// or a runtime scalar changed kind since the kernel was compiled
-// (re-verified every call — bit-identity is never traded for speed).
-#include <map>
-#include <string>
+// run_attached() returns the iteration count exactly as run_exec_plan()
+// would (the caller charges simulated cost from it, which is what keeps
+// native and interpreted runs at equal simulated times), or -1 when the
+// caller must fall back to the tape interpreter: lowering declined, the
+// toolchain is unavailable, the compile failed (all memoized in the
+// attachment), or a runtime scalar changed kind since the kernel was
+// compiled (re-verified every call — bit-identity is never traded for
+// speed).
 #include <utility>
 #include <vector>
 
@@ -28,54 +28,38 @@ namespace f90d::native {
 
 using rts::Index;
 
-/// Per-node counters, reported through ProgramResult / f90dc --stats.
-struct NodeStats {
-  long long runs = 0;         ///< kernel invocations
-  long long attaches = 0;     ///< plans lowered+compiled (or declined) once
-  long long fallbacks = 0;    ///< try_run calls answered with -1
-  long long invalidations = 0;///< attachments dropped by invalidate_array
+/// A plan's compiled kernel plus its packed call-time arguments.
+struct Attachment {
+  KernelFn fn = nullptr;  ///< nullptr = this plan permanently falls back
+  std::vector<ScalarBind> binds;
+  // Packed kernel arguments (see KernelFn in native/lower.hpp).
+  std::vector<long long> lp;
+  std::vector<const long long*> lv;
+  std::vector<void*> base;
+  std::vector<long long> rb;
+  std::vector<long long> st;
+  std::vector<const long long*> tb;
+  std::vector<double> ds;
+  std::vector<long long> is;
+  std::vector<unsigned char> ls;
+  /// Slab references: base[index] must be re-resolved from the Buf's
+  /// current payload every call — communication actions replace the
+  /// vector (and therefore the data pointer) between trips.
+  std::vector<std::pair<size_t, exec::Buf*>> slabs;
+  Index iters = 0;  ///< product of loop counts
 };
 
-class NativeExec {
- public:
-  /// Run `plan` natively if possible.  Returns the executed iteration
-  /// count (mask-rejected iterations included, like run_exec_plan), or
-  /// -1 when the caller must use the tape interpreter instead.
-  Index try_run(const exec::PlanPtr& plan);
+/// Degenerate plans (guarded out, empty nest, zero-trip level) are cheap
+/// on the interpreter and never attach.
+[[nodiscard]] bool attachable(const exec::ExecPlan& plan);
 
-  /// Drop every attachment whose plan binds `array`'s storage.  Must
-  /// mirror PlanCache::invalidate_array: a redistributed or remapped
-  /// array invalidates the baked base pointers and offset recurrences.
-  void invalidate_array(const std::string& array);
+/// Lower, compile (or fetch) and pack `plan`'s kernel.  The plan must
+/// outlive the attachment: the packed arguments point into it.
+[[nodiscard]] Attachment attach(const exec::ExecPlan& plan);
 
-  [[nodiscard]] const NodeStats& stats() const { return stats_; }
-
- private:
-  struct Attached {
-    exec::PlanPtr plan;    ///< keeps the keying raw pointer alive
-    KernelFn fn = nullptr; ///< nullptr = this plan permanently falls back
-    std::vector<ScalarBind> binds;
-    // Packed kernel arguments (see KernelFn in native/lower.hpp).
-    std::vector<long long> lp;
-    std::vector<const long long*> lv;
-    std::vector<void*> base;
-    std::vector<long long> rb;
-    std::vector<long long> st;
-    std::vector<const long long*> tb;
-    std::vector<double> ds;
-    std::vector<long long> is;
-    std::vector<unsigned char> ls;
-    /// Slab references: base[index] must be re-resolved from the Buf's
-    /// current payload every call — communication actions replace the
-    /// vector (and therefore the data pointer) between trips.
-    std::vector<std::pair<size_t, exec::Buf*>> slabs;
-    Index iters = 0;       ///< product of loop counts
-  };
-
-  Attached& attach(const exec::PlanPtr& plan);
-
-  std::map<const exec::ExecPlan*, Attached> map_;
-  NodeStats stats_;
-};
+/// Run an attached kernel.  Returns the executed iteration count
+/// (mask-rejected iterations included, like run_exec_plan), or -1 when
+/// the caller must use the tape interpreter instead.
+[[nodiscard]] Index run_attached(Attachment& at);
 
 }  // namespace f90d::native

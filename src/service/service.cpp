@@ -191,6 +191,7 @@ Outcome ServiceCore::submit(const std::string& source, const RunSpec& spec) {
     Outcome ran = run_artifact(a, spec, ro);
     ran.artifact_hit = out.artifact_hit;
     ran.artifact_coalesced = out.artifact_coalesced;
+    if (ran.artifact_hit) ran.compile_ms = 0;  // this request compiled nothing
     if (!ran.ok) ++failures_;
     return ran;
   } catch (const Error& e) {

@@ -96,6 +96,11 @@ struct DiffRun {
   long long native_attaches = 0;
   long long native_fallbacks = 0;
   long long native_invalidations = 0;
+  /// Comm-plan counters (rank 0 node; zero on the tree rung).
+  long long comm_plan_hits = 0;
+  long long comm_plan_misses = 0;
+  long long comm_plan_invalidations = 0;
+  long long comm_plan_fast_bytes = 0;
 };
 
 /// Copy the run-wide counters a DiffRun reports out of a ProgramResult.
@@ -114,6 +119,10 @@ inline void fill_counters(DiffRun& d, const interp::ProgramResult& r) {
   d.native_attaches = r.native_attaches;
   d.native_fallbacks = r.native_fallbacks;
   d.native_invalidations = r.native_invalidations;
+  d.comm_plan_hits = r.comm_plan_hits;
+  d.comm_plan_misses = r.comm_plan_misses;
+  d.comm_plan_invalidations = r.comm_plan_invalidations;
+  d.comm_plan_fast_bytes = r.comm_plan_fast_bytes;
 }
 
 /// Largest |got - want| over the elements selected by `select(flat)`.

@@ -1,8 +1,9 @@
-// Communication-plan layer (exec/comm_plan.hpp): differential comm-plans-on
-// vs comm-plans-off sweeps that must be bit-identical in array contents AND
-// exactly equal in simulated time / wire traffic (the plans only remove
-// host-side recomputation), cache hit/miss/invalidation accounting, pooled
-// payload reuse, and the redistribution invalidation contract.
+// Communication-plan layer (exec/comm_plan.hpp): differential sweeps of the
+// plan rungs (compiled comm plans) against the tree rung (every action on
+// the tree walk) that must be bit-identical in array contents AND exactly
+// equal in simulated time / wire traffic (the plans only remove host-side
+// recomputation), cache hit/miss/invalidation accounting, pooled payload
+// reuse, and the redistribution invalidation contract.
 #include <gtest/gtest.h>
 
 #include "compile/driver.hpp"
@@ -16,9 +17,11 @@ using interp::Index;
 
 interp::RunOptions comm_on() { return {}; }
 
+/// The tree rung: no execution plans, so no comm plans and no compiled
+/// PARTI executors — the uncompiled reference.
 interp::RunOptions comm_off() {
   interp::RunOptions ro;
-  ro.comm_plans = false;
+  ro.exec_plans = false;
   return ro;
 }
 
@@ -131,19 +134,20 @@ TEST(CommPlanStats, WarmTripsHitTheCache) {
 }
 
 TEST(CommPlanStats, DisabledRunsCollectNoCommPlanStats) {
+  // The tree rung compiles nothing: neither statement comm slots (jacobi's
+  // overlap shifts) nor PARTI executors (the irregular gathers/scatters).
   auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", comm_off());
-  // DiffRun has no comm-plan counters; re-run through run_source.
-  interp::Init init;
-  init.real["A"] = [](std::span<const Index> g) {
-    return harness::jacobi_entry(g[0], g[1]);
-  };
-  auto res = harness::run_source(apps::jacobi_source(12, 2, 2, 2, "BLOCK"),
-                                 init, comm_off());
-  EXPECT_EQ(res.comm_plan_hits, 0);
-  EXPECT_EQ(res.comm_plan_misses, 0);
-  EXPECT_EQ(res.comm_plan_invalidations, 0);
-  EXPECT_EQ(res.comm_plan_fast_bytes, 0);
+  EXPECT_EQ(r.comm_plan_hits, 0);
+  EXPECT_EQ(r.comm_plan_misses, 0);
+  EXPECT_EQ(r.comm_plan_invalidations, 0);
+  EXPECT_EQ(r.comm_plan_fast_bytes, 0);
   EXPECT_LE(harness::max_abs_diff(r), 1e-9);
+
+  auto irr = harness::run_irregular(32, 2, 4, comm_off());
+  EXPECT_GT(irr.schedule_hits, 0);  // PARTI ran, through generic executors
+  EXPECT_EQ(irr.comm_plan_hits, 0);
+  EXPECT_EQ(irr.comm_plan_misses, 0);
+  EXPECT_LE(harness::max_abs_diff(irr), 1e-9);
 }
 
 TEST(CommPlanInvalidate, ArrayIntrinsicDropsBoundPlans) {

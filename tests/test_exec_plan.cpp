@@ -1,11 +1,11 @@
 // Execution-plan layer (exec/exec_plan.hpp): differential plan-on vs
 // plan-off (tree walk) sweeps that must be bit-identical, edge cases
 // (zero-trip DO, P > N, enumerated CYCLIC(k) bounds, masked FORALL),
-// plan-cache reuse across DO-loop trips, the redistribution invalidation
-// contract, and the PARTI fallback.
+// plan-cache reuse across DO-loop trips, the StmtCache units, the
+// redistribution invalidation contract, and the PARTI fallback.
 #include <gtest/gtest.h>
 
-#include "exec/exec_plan.hpp"
+#include "exec/stmt_cache.hpp"
 #include "harness.hpp"
 
 namespace f90d {
@@ -122,37 +122,109 @@ TEST(ExecPlanCache, DisabledRunsCollectNoPlanStats) {
   EXPECT_EQ(r.plan_misses, 0);
 }
 
+// --- StmtCache units -----------------------------------------------------------
+
+exec::PlanEntry plan_binding(std::vector<std::string> arrays) {
+  auto plan = std::make_shared<exec::ExecPlan>();
+  plan->arrays = std::move(arrays);
+  return exec::PlanEntry{plan, {}, false};
+}
+
 TEST(ExecPlanCache, InvalidateArrayDropsBoundPlans) {
-  exec::PlanCache cache;
-  auto entry_for = [](std::vector<std::string> arrays) {
-    auto plan = std::make_shared<exec::ExecPlan>();
-    plan->arrays = std::move(arrays);
-    return exec::PlanEntry{plan, {}, false};
-  };
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({"A", "B"}); });
-  (void)cache.get_or_build(2, "k2", [&] { return entry_for({"C"}); });
-  EXPECT_EQ(cache.misses(), 2);
+  exec::StmtCache cache;
+  (void)cache.regular(1, cache.entry("k1"),
+                      [] { return plan_binding({"A", "B"}); });
+  (void)cache.regular(2, cache.entry("k2"), [] { return plan_binding({"C"}); });
+  EXPECT_EQ(cache.stats().regular.misses, 2);
   EXPECT_EQ(cache.size(), 2u);
 
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({}); });
-  EXPECT_EQ(cache.hits(), 1);
+  (void)cache.regular(1, cache.entry("k1"), [] { return plan_binding({}); });
+  EXPECT_EQ(cache.stats().regular.hits, 1);
 
   cache.invalidate_array("B");
-  EXPECT_EQ(cache.invalidations(), 1);
+  EXPECT_EQ(cache.stats().regular.invalidations, 1);
   EXPECT_EQ(cache.size(), 1u);  // k1 dropped, k2 (binds only C) survives
 
   // Re-lookup of the invalidated key rebuilds.
-  (void)cache.get_or_build(1, "k1", [&] { return entry_for({"A", "B"}); });
-  EXPECT_EQ(cache.misses(), 3);
+  (void)cache.regular(1, cache.entry("k1"),
+                      [] { return plan_binding({"A", "B"}); });
+  EXPECT_EQ(cache.stats().regular.misses, 3);
 }
 
 TEST(ExecPlanCache, StructuralDeclineRemembered) {
-  exec::PlanCache cache;
-  (void)cache.get_or_build(7, "k7", [] {
+  using Family = exec::StmtCache::Family;
+  exec::StmtCache cache;
+  (void)cache.regular(7, cache.entry("k7"), [] {
     return exec::PlanEntry{nullptr, "buffered lhs", /*structural=*/true};
   });
-  EXPECT_TRUE(cache.declined_structurally(7));
-  EXPECT_FALSE(cache.declined_structurally(8));
+  EXPECT_TRUE(cache.declined_structurally(Family::kRegular, 7));
+  EXPECT_FALSE(cache.declined_structurally(Family::kRegular, 8));
+}
+
+TEST(StmtCache, InvalidateArrayDropsEveryPartOfAnEntry) {
+  exec::StmtCache cache;
+  // Entry k1: a plan binding A, comm slots baking B (a broadcast source
+  // the plan itself never binds) and a native attachment.
+  exec::StmtCache::Entry& e1 = cache.entry("k1");
+  (void)cache.regular(1, e1, [] { return plan_binding({"A"}); });
+  (void)cache.comm(e1, [] {
+    exec::CommPlans::StmtPlan p;
+    p.arrays = {"B"};
+    return p;
+  });
+  e1.native = std::make_unique<native::Attachment>();
+  // Entry k2 binds only C.
+  exec::StmtCache::Entry& e2 = cache.entry("k2");
+  (void)cache.regular(2, e2, [] { return plan_binding({"C"}); });
+  (void)cache.comm(e2, [] { return exec::CommPlans::StmtPlan{}; });
+  EXPECT_EQ(cache.stats().comm_misses, 2);
+
+  // B is named only by k1's comm part, yet the whole entry goes.
+  cache.invalidate_array("B");
+  const exec::StmtCache::Stats& st = cache.stats();
+  EXPECT_EQ(st.regular.invalidations, 1);
+  EXPECT_EQ(st.comm_invalidations, 1);
+  EXPECT_EQ(st.native_invalidations, 1);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // k2 survives with every part: its plan and comm slots still hit.
+  exec::StmtCache::Entry& again = cache.entry("k2");
+  (void)cache.regular(2, again, [] { return plan_binding({}); });
+  (void)cache.comm(again, [] { return exec::CommPlans::StmtPlan{}; });
+  EXPECT_EQ(st.regular.hits, 1);
+  EXPECT_EQ(st.comm_hits, 1);
+
+  // k1 rebuilds from scratch: no part outlived the others.
+  exec::StmtCache::Entry& fresh = cache.entry("k1");
+  EXPECT_FALSE(fresh.regular || fresh.comm || fresh.native);
+}
+
+TEST(StmtCache, RegularDeclineDoesNotSuppressIrregular) {
+  using Family = exec::StmtCache::Family;
+  exec::StmtCache cache;
+  exec::StmtCache::Entry& e = cache.entry("k3");
+  (void)cache.regular(3, e, [] {
+    return exec::PlanEntry{nullptr, "schedule-based read buffers (PARTI)",
+                           /*structural=*/true};
+  });
+  EXPECT_TRUE(cache.declined_structurally(Family::kRegular, 3));
+  EXPECT_FALSE(cache.declined_structurally(Family::kIrregular, 3));
+
+  // The irregular planner still plans statement 3, in the same entry.
+  auto irr = std::make_shared<exec::IrregularPlan>();
+  irr->core.arrays = {"A", "U"};
+  const exec::IrrPlanEntry& got = cache.irregular(
+      3, e, [&] { return exec::IrrPlanEntry{irr, {}, false}; });
+  EXPECT_EQ(got.plan, irr);
+  EXPECT_EQ(cache.stats().irregular.misses, 1);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Dropping the irregular plan's array drops the entry, but the regular
+  // family's structural decline is remembered per statement, not per entry.
+  cache.invalidate_array("U");
+  EXPECT_EQ(cache.stats().irregular.invalidations, 1);
+  EXPECT_EQ(cache.stats().regular.invalidations, 0);
+  EXPECT_TRUE(cache.declined_structurally(Family::kRegular, 3));
 }
 
 TEST(ExecPlanCache, ArrayIntrinsicInvalidatesEndToEnd) {

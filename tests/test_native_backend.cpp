@@ -146,9 +146,9 @@ TEST(NativeBackend, PlanBackendCollectsNoNativeStats) {
 
 TEST(NativeBackend, ArrayIntrinsicInvalidatesNativeAttachments) {
   // Mirror of ExecPlanCache.ArrayIntrinsicInvalidatesEndToEnd: the CSHIFT
-  // between trips rewrites A wholesale, which must drop the native
-  // function attachments along with the plans — a stale kernel would keep
-  // writing through a dangling base pointer.
+  // between trips rewrites A wholesale, which must drop the statement's
+  // whole cache entry — plan, comm slots and native attachment together;
+  // a stale kernel would keep writing through a dangling base pointer.
   const char* src = R"(PROGRAM SHIFTY
       INTEGER N
       PARAMETER (N = 16)
@@ -175,6 +175,7 @@ C$ ALIGN B(I) WITH T(I)
   interp::RunOptions ro = backend_native();
   auto r = interp::run_compiled(compiled, m, init, ro);
   EXPECT_GT(r.plan_invalidations, 0);
+  EXPECT_GT(r.comm_plan_invalidations, 0);
   if (native_available()) {
     EXPECT_GT(r.native_runs, 0);
     EXPECT_GT(r.native_invalidations, 0);

@@ -113,6 +113,27 @@ TEST(ServiceCoreTest, SubmitRunsAndSecondRequestHitsEverything) {
   EXPECT_EQ(core.failures(), 0);
 }
 
+TEST(ServiceCoreTest, CompileMsIsZeroOnArtifactHits) {
+  ServiceCore core;
+  const std::string src = self_init_source(96, 4);
+  const Outcome first = core.submit(src, RunSpec{});
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.artifact_hit);
+  EXPECT_GT(first.compile_ms, 0);
+  double v = -1;
+  ASSERT_TRUE(json_find_number(service::run_stats_json(first), "compile_ms", v));
+  EXPECT_GT(v, 0);
+
+  const Outcome second = core.submit(src, RunSpec{});
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.artifact_hit);
+  EXPECT_EQ(second.compile_ms, 0);
+  const std::string doc = service::run_stats_json(second);
+  EXPECT_NE(doc.find("\"artifact_hit\":true"), std::string::npos);
+  ASSERT_TRUE(json_find_number(doc, "compile_ms", v));
+  EXPECT_EQ(v, 0);
+}
+
 TEST(ServiceCoreTest, SourceQuotaRejectsOversizedRequests) {
   ServiceOptions opt;
   opt.max_source_bytes = 16;
