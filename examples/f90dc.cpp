@@ -232,8 +232,13 @@ int main(int argc, char** argv) {
       std::printf("  schedules    : %d built, %d reused\n",
                   r.schedule_misses, r.schedule_hits);
       if (stats) {
-        std::printf("  exec plans   : %d built, %d reused, %d invalidated\n",
-                    r.plan_misses, r.plan_hits, r.plan_invalidations);
+        std::printf("  exec plans   : %d built, %d reused, %d invalidated, "
+                    "%lld cache entries\n",
+                    r.plan_misses, r.plan_hits, r.plan_invalidations,
+                    r.stmt_cache_entries);
+        std::printf("  tree walk    : %lld statement executions (all "
+                    "processors)\n",
+                    r.tree_stmts);
         std::printf("  irregular    : %d built, %d reused, %d invalidated "
                     "(inspector plans)\n",
                     r.irregular_misses, r.irregular_hits,

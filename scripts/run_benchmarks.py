@@ -30,9 +30,20 @@ performance record next to the sources:
 
 Usage:
     scripts/run_benchmarks.py --build-dir build [--out-dir .] [--quick]
+        [--repetitions N] [--filter REGEX]
 
 --quick shrinks the problem sizes through F90D_GE_N (useful in CI, where
 the point is that the recording pipeline works, not the absolute numbers).
+
+--repetitions N runs every google-benchmark row N times.  The record keeps
+one row per benchmark: the repetition with the median wall time (its
+counters are exact, so any repetition carries the same ones), annotated
+with the repetition count and the wall spread (real_time_min/_max).
+
+--filter REGEX records only the matching rows (google-benchmark filter
+syntax) and merges them into the existing document: matching rows are
+replaced in place, every other row keeps its recorded values, and
+context.rerecorded lists each merge (filter, date, repetitions).
 
 Recordings are only meaningful from a Release build of libf90d: the script
 reads CMAKE_BUILD_TYPE out of the build directory's CMakeCache.txt, refuses
@@ -98,8 +109,35 @@ def run_loadgen(binary: str, out_path: str, env: dict, build_dir: str,
     subprocess.run(cmd, env=env, check=True)
 
 
-def run_one(binary: str, out_path: str, env: dict) -> None:
+def median_rows(rows: list, repetitions: int) -> list:
+    """One row per benchmark: the repetition with the median wall time,
+    annotated with the repetition count and the wall spread.  Aggregate
+    rows (mean/median/stddev) are dropped; order follows first appearance."""
+    groups = {}
+    for r in rows:
+        if r.get("run_type", "iteration") != "iteration":
+            continue
+        groups.setdefault(r["name"], []).append(r)
+    out = []
+    for reps in groups.values():
+        reps.sort(key=lambda r: r["real_time"])
+        row = dict(reps[(len(reps) - 1) // 2])
+        if repetitions > 1:
+            row["repetitions"] = len(reps)
+            row["repetition_index"] = 0
+            row["real_time_min"] = reps[0]["real_time"]
+            row["real_time_max"] = reps[-1]["real_time"]
+        out.append(row)
+    return out
+
+
+def run_one(binary: str, out_path: str, env: dict, repetitions: int = 1,
+            filt: str = None) -> None:
     cmd = [binary, "--benchmark_format=json"]
+    if repetitions > 1:
+        cmd.append(f"--benchmark_repetitions={repetitions}")
+    if filt:
+        cmd.append(f"--benchmark_filter={filt}")
     print(f"[run_benchmarks] {' '.join(cmd)} -> {out_path}", flush=True)
     proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, check=True)
     # stdout is the benchmark library's JSON document; table printers
@@ -110,9 +148,31 @@ def run_one(binary: str, out_path: str, env: dict) -> None:
     if end < 0:
         raise RuntimeError(f"{binary}: no JSON in output")
     doc = json.loads(text[: end + 1])
+    doc["benchmarks"] = median_rows(doc.get("benchmarks", []), repetitions)
+    if filt:
+        doc = merge_rows(out_path, doc, filt, repetitions)
     with open(out_path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=False)
         f.write("\n")
+
+
+def merge_rows(out_path: str, fresh: dict, filt: str,
+               repetitions: int) -> dict:
+    """Replace the recorded rows that `fresh` re-measured; keep the rest."""
+    with open(out_path) as f:
+        doc = json.load(f)
+    new_rows = {r["name"]: r for r in fresh["benchmarks"]}
+    if not new_rows:
+        raise RuntimeError(f"--filter {filt!r} matched no benchmark")
+    rows = [new_rows.pop(r["name"], r) for r in doc.get("benchmarks", [])]
+    doc["benchmarks"] = rows + list(new_rows.values())
+    ctx = doc.setdefault("context", {})
+    ctx.setdefault("rerecorded", []).append({
+        "filter": filt,
+        "date": fresh.get("context", {}).get("date", ""),
+        "repetitions": repetitions,
+    })
+    return doc
 
 
 def main() -> int:
@@ -126,6 +186,12 @@ def main() -> int:
     ap.add_argument("--only", action="append", default=None,
                     metavar="BENCH_x.json",
                     help="record only the named output(s); repeatable")
+    ap.add_argument("--repetitions", type=int, default=1, metavar="N",
+                    help="run each google-benchmark row N times and record "
+                         "its median-wall repetition with the spread")
+    ap.add_argument("--filter", default=None, metavar="REGEX",
+                    help="record only the matching rows, merged into the "
+                         "existing document (needs exactly one --only)")
     ap.add_argument("--allow-non-release", action="store_true",
                     help="record from a non-Release build anyway; the "
                          "output is tagged context.non_release_build")
@@ -149,6 +215,12 @@ def main() -> int:
                      f"(choose from {', '.join(BENCH_MAP)})")
         bench_map = {k: v for k, v in bench_map.items() if k in args.only}
 
+    if args.repetitions < 1:
+        ap.error("--repetitions must be at least 1")
+    if args.filter and (not args.only or len(args.only) != 1
+                        or args.only[0] == "BENCH_service.json"):
+        ap.error("--filter needs exactly one --only google-benchmark record")
+
     env = dict(os.environ)
     if args.quick:
         env.setdefault("F90D_GE_N", "64")
@@ -168,7 +240,7 @@ def main() -> int:
                 run_loadgen(binary, out_path, env, args.build_dir,
                             args.quick)
             else:
-                run_one(binary, out_path, env)
+                run_one(binary, out_path, env, args.repetitions, args.filter)
             stamp_build_type(out_path, bt)
         except (subprocess.CalledProcessError, RuntimeError, ValueError) as e:
             print(f"[run_benchmarks] {bench} failed: {e}", file=sys.stderr)

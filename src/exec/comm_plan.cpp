@@ -451,7 +451,16 @@ bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
   }
 
   // Iteration ranges of the slab variables (identical on source line and
-  // destinations; bound scalars are key-covered via the statement bounds).
+  // destinations).  Their bounds must be key-covered too: a parametric
+  // plan's key leaves out bound scalars it re-reads at bind time, and the
+  // slab's size and offset tables would go stale with them.
+  for (const compile::IndexPartition& ip : s.indices) {
+    if (std::find(ref.slab_vars.begin(), ref.slab_vars.end(), ip.var) ==
+        ref.slab_vars.end())
+      continue;
+    for (const ExprPtr* e : {&ip.lo, &ip.hi, &ip.st})
+      if (*e && !expr_bakeable(**e, *env_, key_names, none)) return false;
+  }
   const std::vector<CommRange> all = hooks_.ranges(s);
   std::vector<CommRange> slab_ranges;
   for (const std::string& vn : ref.slab_vars)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -214,6 +215,203 @@ bool same_dim_map(const DimMap& a, const DimMap& b) {
           (a.table == b.table && a.table != nullptr));
 }
 
+/// Local-to-global is non-affine on block-cyclic CYCLIC(k>1) and INDIRECT
+/// dimensions: their local ranges map through mu^-1 element by element
+/// into explicit value tables.
+bool nonaffine_local(const DimMap& m) {
+  return (m.kind == DistKind::kCyclic && m.block > 1) ||
+         m.kind == DistKind::kIndirect;
+}
+
+// --- binding -------------------------------------------------------------------
+
+long long eval_int(const Tape& t, ExecPlan& p) {
+  return eval_tape(t, p.refs, nullptr, nullptr, p.binding.stack).as_i();
+}
+
+/// Guards and set_BOUND loop ranges; mirrors the interpreter's
+/// ranges_for_coords()/range_from_bound() so the planned iteration order
+/// and values are identical to the tree walk's.  False: a zero stride.
+bool bind_nest(ExecPlan& p) {
+  PlanBinding& b = p.binding;
+  p.masked_out = false;
+  for (const GuardBind& g : b.guards) {
+    const Index val = eval_int(g.sub, p) - g.lower;
+    if (g.dad->owner_coord(g.dim, val) != g.coord) {
+      p.masked_out = true;
+      return true;
+    }
+  }
+  for (size_t k = 0; k < b.loops.size(); ++k) {
+    LoopBind& lb = b.loops[k];
+    PlanLoop& L = p.loops[k];
+    const Index lo = eval_int(lb.lo, p);
+    const Index hi = eval_int(lb.hi, p);
+    const Index st = lb.st.empty() ? 1 : eval_int(lb.st, p);
+    if (st == 0) return false;
+    L.count = 0;
+    L.val0 = 0;
+    L.step = 1;
+    L.values.clear();
+    if (lb.dad != nullptr) {
+      const Dad& dad = *lb.dad;
+      lb.range = rts::set_bound(dad, lb.dim, lb.coord, lo - lb.lower,
+                                hi - lb.lower, st);
+      const LocalRange& r = lb.range;
+      if (r.empty) continue;
+      L.count = r.count();
+      if (r.enumerated() || nonaffine_local(dad.dim(lb.dim))) {
+        L.values.reserve(static_cast<size_t>(L.count));
+        if (r.enumerated()) {
+          for (Index l : r.indices)
+            L.values.push_back(dad.global_of_local(lb.dim, l, lb.coord) +
+                               lb.lower);
+        } else {
+          for (Index l = r.lb; l <= r.ub; l += r.st)
+            L.values.push_back(dad.global_of_local(lb.dim, l, lb.coord) +
+                               lb.lower);
+        }
+        L.val0 = L.values.front();
+        L.step = L.count > 1 ? L.values[1] - L.values[0] : st;
+        bool uniform = true;
+        for (size_t i = 2; i < L.values.size(); ++i)
+          uniform = uniform && L.values[i] - L.values[i - 1] == L.step;
+        if (uniform) L.values.clear();  // progression form is exact
+      } else {
+        L.val0 = dad.global_of_local(lb.dim, r.lb, lb.coord) + lb.lower;
+        L.step = L.count > 1
+                     ? dad.global_of_local(lb.dim, r.lb + r.st, lb.coord) +
+                           lb.lower - L.val0
+                     : st;
+      }
+    } else if (lb.synth_p > 0) {
+      const Index total = trip_count(lo, hi, st);
+      const Index chunk = (total + lb.synth_p - 1) / lb.synth_p;
+      const Index first = static_cast<Index>(lb.coord) * chunk;
+      const Index last = std::min(first + chunk, total);
+      L.count = std::max<Index>(0, last - first);
+      L.val0 = lo + first * st;
+      L.step = st;
+    } else {
+      L.count = trip_count(lo, hi, st);
+      L.val0 = lo;
+      L.step = st;
+    }
+  }
+  return true;
+}
+
+bool nest_empty(const ExecPlan& p) {
+  if (p.masked_out) return true;
+  for (const PlanLoop& l : p.loops)
+    if (l.count == 0) return true;
+  return false;
+}
+
+/// One reference's base offset and per-level terms at the bound loops.
+/// False when a touched index leaves the admissible range: reads may use
+/// the overlap (ghost) area, writes must be owned, buffered destinations
+/// must lie inside the array.  This is the planner's replacement for the
+/// per-element at_global/_ghost require() checks.
+bool bind_ref(ExecPlan& p, RefPlan& rp, const RefBind& rb) {
+  PlanBinding& b = p.binding;
+  const size_t nv = p.loops.size();
+  if (!rb.odometer.empty()) {
+    // One value per odometer position, last level fastest.
+    long long mult = 1;
+    for (int k : rb.odometer) {
+      rp.terms[static_cast<size_t>(k)].stride = mult;
+      mult *= p.loops[static_cast<size_t>(k)].count;
+    }
+    return true;
+  }
+  if (rb.dims.empty()) return true;  // scalar slot: offset 0
+  for (OffsetTerm& t : rp.terms) {
+    t.stride = 0;
+    t.table.clear();
+  }
+  long long base = 0;
+  std::vector<OffsetTerm>& dterms = b.dterms;
+  dterms.resize(nv);
+  for (const DimBind& d : rb.dims) {
+    for (OffsetTerm& t : dterms) {
+      t.stride = 0;
+      t.table.clear();
+    }
+    long long c0 = d.c0;
+    if (!d.rt.empty()) c0 += eval_int(d.rt, p);
+    if (d.owner != nullptr) {
+      if (c0 < 0 || c0 >= d.owner->extent(d.dim) ||
+          !d.owner->owns(d.dim, c0, d.coord))
+        return false;
+      c0 = d.owner->local_of_global(d.dim, c0);
+    } else if (d.range_level >= 0) {
+      const LocalRange& lr = b.loops[static_cast<size_t>(d.range_level)].range;
+      OffsetTerm& t = dterms[static_cast<size_t>(d.range_level)];
+      if (lr.enumerated()) {
+        t.table.assign(lr.indices.begin(), lr.indices.end());
+      } else {
+        c0 += lr.lb;
+        t.stride = lr.st;
+      }
+    } else {
+      for (const auto& [k, coef] : d.coefs) {
+        const PlanLoop& L = p.loops[static_cast<size_t>(k)];
+        OffsetTerm& t = dterms[static_cast<size_t>(k)];
+        if (L.values.empty()) {
+          c0 += coef * L.val0;
+          t.stride += coef * L.step;
+        } else {
+          t.table.resize(static_cast<size_t>(L.count));
+          for (Index c = 0; c < L.count; ++c)
+            t.table[static_cast<size_t>(c)] =
+                coef * L.values[static_cast<size_t>(c)];
+        }
+      }
+    }
+    long long mn = c0;
+    long long mx = c0;
+    for (size_t k = 0; k < nv; ++k) {
+      const OffsetTerm& t = dterms[k];
+      if (!t.table.empty()) {
+        const auto [lo_it, hi_it] =
+            std::minmax_element(t.table.begin(), t.table.end());
+        mn += *lo_it;
+        mx += *hi_it;
+      } else if (t.stride != 0) {
+        const long long end = t.stride * (p.loops[k].count - 1);
+        mn += std::min<long long>(0, end);
+        mx += std::max<long long>(0, end);
+      }
+    }
+    if (mn < d.lo_ok || mx > d.hi_ok) return false;
+    // Flatten into the merged per-level flat-offset recurrence.
+    base += d.scale * (c0 + d.shift);
+    for (size_t k = 0; k < nv; ++k) {
+      const Index count = p.loops[k].count;
+      if (!dterms[k].table.empty())
+        term_add_table(rp.terms[k], dterms[k].table, d.scale, count);
+      else if (dterms[k].stride != 0)
+        term_add_affine(rp.terms[k], d.scale * dterms[k].stride, count);
+    }
+  }
+  rp.base = base;
+  return true;
+}
+
+bool bind_refs(ExecPlan& p) {
+  const size_t nr = p.refs.size();
+  for (size_t r = 0; r <= nr; ++r)
+    if (!bind_ref(p, r < nr ? p.refs[r] : p.lhs, p.binding.refs[r]))
+      return false;
+  return true;
+}
+
+bool same_value(const Value& a, const Value& b) {
+  return a.k == b.k && a.i == b.i && a.b == b.b &&
+         std::memcmp(&a.d, &b.d, sizeof a.d) == 0;
+}
+
 // --- planner -----------------------------------------------------------------
 
 class Builder {
@@ -221,24 +419,42 @@ class Builder {
   Builder(const SpmdStmt& s, Env& env, bool irregular = false)
       : s_(s), env_(env), coords_(env.gc.my_coords()), irregular_(irregular) {}
 
+  /// Regular entry point: the whole structure, unbound — bind_exec_plan
+  /// resolves the values on every execution whose parameters changed.
   PlanEntry build() {
     try {
       structural_gates();
       plan_ = std::make_shared<ExecPlan>();
       plan_->stmt_id = s_.stmt_id;
-      if (!guards_pass()) {
-        plan_->masked_out = true;
-        return PlanEntry{plan_, {}, false};
+      build_nest();
+      index_refs();
+      if (s_.kind == SpmdKind::kReduce) {
+        if (!reduce_op_of(s_.reduce_op, plan_->reduce))
+          decline("unsupported reduction " + s_.reduce_op);
+        no_lhs();
+      } else if (s_.lhs_buffered) {
+        plan_->lhs = value_buffer_ref(s_.refs.at(0), lhs_bind_);
+      } else {
+        plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true, lhs_bind_);
       }
-      build_loops();
-      for (const PlanLoop& l : plan_->loops)
-        if (l.count == 0) return PlanEntry{plan_, {}, false};  // empty nest
-      for (const RefInfo& r : s_.refs)
-        if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
-      plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true);
-      plan_->rhs = compile_tape(*s_.rhs);
-      if (s_.mask) plan_->mask = compile_tape(*s_.mask);
-      plan_->arrays.assign(arrays_.begin(), arrays_.end());
+      build_body();
+      PlanBinding& b = plan_->binding;
+      auto collect = [&b](const Tape& t) {
+        for (const Ins& ins : t.ins)
+          if (ins.op == Op::kScalar &&
+              std::find(b.params.begin(), b.params.end(), ins.scalar) ==
+                  b.params.end())
+            b.params.push_back(ins.scalar);
+      };
+      for (const GuardBind& g : b.guards) collect(g.sub);
+      for (const LoopBind& l : b.loops) {
+        collect(l.lo);
+        collect(l.hi);
+        collect(l.st);
+      }
+      for (const RefBind& r : b.refs)
+        for (const DimBind& d : r.dims) collect(d.rt);
+      b.last.resize(b.params.size());
       return PlanEntry{plan_, {}, false};
     } catch (const Decline& d) {
       return PlanEntry{nullptr, d.reason, d.structural};
@@ -246,7 +462,8 @@ class Builder {
   }
 
   /// Irregular entry point: lower a schedule-bearing kForall into an
-  /// inspector/executor plan, or decline back to the tree walk.
+  /// inspector/executor plan, or decline back to the tree walk.  Irregular
+  /// plans key every scalar they read, so they bind exactly once, here.
   IrrPlanEntry build_irr() {
     try {
       structural_gates();
@@ -270,33 +487,29 @@ class Builder {
                 });
       for (const CommAction& a : s_.post)
         if (!a.eliminated && a.kind == CommKind::kScatter) irr->scatter = &a;
+      build_nest();
+      if (!bind_nest(*plan_)) decline("zero stride", /*structural=*/false);
       // Masked-out and empty-nest plans keep the reads/scatter metadata
       // but build no tapes: this processor still participates in the
       // collective schedule builds, with empty needs.
-      if (!guards_pass()) {
-        plan_->masked_out = true;
+      if (nest_empty(*plan_)) {
         irr->empty_nest = true;
         irr->core = std::move(*plan_);
         return IrrPlanEntry{std::move(irr), {}, false};
       }
-      build_loops();
-      for (const PlanLoop& l : plan_->loops)
-        if (l.count == 0) {
-          irr->empty_nest = true;
-          irr->core = std::move(*plan_);
-          return IrrPlanEntry{std::move(irr), {}, false};
-        }
-      for (const RefInfo& r : s_.refs)
-        if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
+      index_refs();
       for (IrrRead& r : irr->reads)
         r.idx = build_indexer(s_.refs.at(static_cast<size_t>(r.ref_id)));
-      if (s_.lhs_buffered)
+      if (s_.lhs_buffered) {
         irr->lhs_idx = build_indexer(s_.refs.at(0));
-      else
-        plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true);
-      plan_->rhs = compile_tape(*s_.rhs);
-      if (s_.mask) plan_->mask = compile_tape(*s_.mask);
-      plan_->arrays.assign(arrays_.begin(), arrays_.end());
+        no_lhs();
+      } else {
+        plan_->lhs = build_ref_plan(s_.refs.at(0), /*is_write=*/true, lhs_bind_);
+      }
+      build_body();
+      if (!bind_refs(*plan_))
+        decline("subscript range outside local allocation",
+                /*structural=*/false);
       irr->core = std::move(*plan_);
       return IrrPlanEntry{std::move(irr), {}, false};
     } catch (const Decline& d) {
@@ -310,12 +523,23 @@ class Builder {
   }
 
   void structural_gates() const {
-    if (s_.kind != SpmdKind::kForall) decline("not a forall");
+    const bool reduce = s_.kind == SpmdKind::kReduce && !irregular_;
+    if (s_.kind != SpmdKind::kForall && !reduce) decline("not a forall");
     if (s_.indices.empty()) decline("no iteration variables");
-    if (s_.refs.empty() || !s_.lhs || !s_.rhs) decline("incomplete forall");
+    if (s_.refs.empty() || !s_.rhs || (!reduce && !s_.lhs))
+      decline("incomplete forall");
     if (!irregular_) {
-      if (s_.lhs_buffered) decline("buffered lhs (PARTI/concat write path)");
-      if (!s_.post.empty()) decline("post-communication actions");
+      if (s_.lhs_buffered) {
+        // The replicated-lhs concatenation consumes exactly the buffered
+        // values the tree walk produces; the PARTI write paths stay with
+        // the irregular planner.
+        for (const CommAction& a : s_.post)
+          if (!a.eliminated && a.kind != CommKind::kConcatWrite)
+            decline("buffered lhs (PARTI write path)");
+        if (s_.mask) decline("masked buffered lhs (read-back semantics)");
+      } else if (!s_.post.empty()) {
+        decline("post-communication actions");
+      }
       for (const CommAction& a : s_.pre) {
         if (a.eliminated) continue;
         if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
@@ -354,58 +578,59 @@ class Builder {
     }
   }
 
-  /// Mirror of the interpreter's scalar-context eval(): literals, scalar
-  /// variables, arithmetic and elementwise intrinsics.  Used for loop
-  /// bounds, guard subscripts and runtime subscript terms.
-  Value eval_scalar(const Expr& e) {
-    switch (e.kind) {
-      case ExprKind::kIntLit: return Value::integer(e.int_value);
-      case ExprKind::kRealLit: return Value::real(e.real_value);
-      case ExprKind::kLogicalLit: return Value::logical(e.logical_value);
-      case ExprKind::kVarRef: {
-        auto it = env_.scalars.find(e.name);
-        if (it == env_.scalars.end()) decline("unbound scalar " + e.name);
-        return it->second;
+  /// Guard and loop-level recipes (bind_nest evaluates them).
+  void build_nest() {
+    PlanBinding& b = plan_->binding;
+    for (const ProcGuard& g : s_.guards) {
+      const Dad& dad = env_.dads.at(g.array);
+      GuardBind gb;
+      gb.sub = scalar_tape(*compile::affine_to_expr(g.sub));
+      gb.dad = &dad;
+      gb.dim = g.dim;
+      gb.lower = env_.lower_of(g.array, g.dim);
+      gb.coord = coords_[static_cast<size_t>(dad.dim(g.dim).grid_dim)];
+      b.guards.push_back(std::move(gb));
+    }
+    for (const IndexPartition& ip : s_.indices) {
+      LoopBind lb;
+      lb.lo = scalar_tape(*ip.lo);
+      lb.hi = scalar_tape(*ip.hi);
+      if (ip.st) lb.st = scalar_tape(*ip.st);
+      if (!ip.array.empty()) {
+        const Dad& dad = env_.dads.at(ip.array);
+        lb.dad = &dad;
+        lb.dim = ip.dim;
+        lb.lower = env_.lower_of(ip.array, ip.dim);
+        lb.coord = coords_[static_cast<size_t>(dad.dim(ip.dim).grid_dim)];
+      } else if (ip.synth_grid_dim >= 0) {
+        lb.synth_p = env_.compiled.mapping.grid.extent(ip.synth_grid_dim);
+        lb.coord = coords_[static_cast<size_t>(ip.synth_grid_dim)];
       }
-      case ExprKind::kUnOp: {
-        const Value v = eval_scalar(*e.args[0]);
-        if (e.un_op == UnOpKind::kPlus) return v;
-        return un_value(e.un_op == UnOpKind::kNeg ? Op::kNeg : Op::kNot, v);
-      }
-      case ExprKind::kBinOp:
-        return bin_value(bin_op_of(e.bin_op), eval_scalar(*e.args[0]),
-                         eval_scalar(*e.args[1]));
-      case ExprKind::kArrayRef: {
-        if (env_.compiled.sema.symbols.count(e.name) &&
-            env_.compiled.sema.symbols.at(e.name).is_array())
-          decline("array element in scalar context");
-        Op op{};
-        int argc = 0;
-        if (!intrinsic_op_of(e.name, op, argc))
-          decline("unsupported intrinsic " + e.name);
-        if (argc >= 0 ? e.args.size() != static_cast<size_t>(argc)
-                      : e.args.empty())
-          decline("bad intrinsic arity " + e.name);
-        std::vector<Value> args;
-        args.reserve(e.args.size());
-        for (const ExprPtr& a : e.args) args.push_back(eval_scalar(*a));
-        return intrinsic_value(op, args);
-      }
-      default:
-        decline("unsupported expression in scalar context");
+      b.loops.push_back(std::move(lb));
+      PlanLoop L;
+      L.var = ip.var;
+      plan_->loops.push_back(std::move(L));
     }
   }
 
-  bool guards_pass() {
-    for (const ProcGuard& g : s_.guards) {
-      const Dad& dad = env_.dads.at(g.array);
-      const Index val = eval_scalar(*compile::affine_to_expr(g.sub)).as_i() -
-                        env_.lower_of(g.array, g.dim);
-      const int owner = dad.owner_coord(g.dim, val);
-      const int gd = dad.dim(g.dim).grid_dim;
-      if (coords_[static_cast<size_t>(gd)] != owner) return false;
-    }
-    return true;
+  void index_refs() {
+    for (const RefInfo& r : s_.refs)
+      if (r.expr != nullptr) ref_of_.emplace(r.expr, &r);
+  }
+
+  /// Section reductions (and scattered irregular lhs) store nothing.
+  void no_lhs() {
+    plan_->lhs.kind = RefPlan::Kind::kNone;
+    plan_->lhs.terms.resize(plan_->loops.size());
+  }
+
+  /// Mask/rhs tapes, then the reference recipes in plan order.
+  void build_body() {
+    plan_->rhs = compile_tape(*s_.rhs);
+    if (s_.mask) plan_->mask = compile_tape(*s_.mask);
+    plan_->arrays.assign(arrays_.begin(), arrays_.end());
+    plan_->binding.refs = std::move(read_binds_);
+    plan_->binding.refs.push_back(std::move(lhs_bind_));
   }
 
   int level_of(const std::string& var) const {
@@ -414,82 +639,7 @@ class Builder {
     decline("free variable " + var + " in subscript");
   }
 
-  /// set_BOUND-resolved loop levels; mirrors the interpreter's
-  /// ranges_for_coords()/range_from_bound() so the planned iteration order
-  /// and values are identical to the tree walk's.
-  void build_loops() {
-    for (const IndexPartition& ip : s_.indices) {
-      const Index lo = eval_scalar(*ip.lo).as_i();
-      const Index hi = eval_scalar(*ip.hi).as_i();
-      const Index st = ip.st ? eval_scalar(*ip.st).as_i() : 1;
-      if (st == 0) decline("zero stride", /*structural=*/false);
-      PlanLoop L;
-      L.var = ip.var;
-      std::optional<LocalRange> lr;
-      if (!ip.array.empty()) {
-        const Dad& dad = env_.dads.at(ip.array);
-        const long long lower = env_.lower_of(ip.array, ip.dim);
-        const int gd = dad.dim(ip.dim).grid_dim;
-        const int coord = coords_[static_cast<size_t>(gd)];
-        const LocalRange b =
-            rts::set_bound(dad, ip.dim, coord, lo - lower, hi - lower, st);
-        lr = b;
-        if (!b.empty) {
-          L.count = b.count();
-          const DimMap& m = dad.dim(ip.dim);
-          // INDIRECT joins block-cyclic: local-to-global is non-affine, so
-          // uniform local triplets map through mu^-1 element by element
-          // (mirrors range_from_bound in the interpreter).
-          const bool nonaffine_local =
-              (m.kind == DistKind::kCyclic && m.block > 1) ||
-              m.kind == DistKind::kIndirect;
-          if (b.enumerated() || nonaffine_local) {
-            L.values.reserve(static_cast<size_t>(L.count));
-            if (b.enumerated()) {
-              for (Index l : b.indices)
-                L.values.push_back(dad.global_of_local(ip.dim, l, coord) +
-                                   lower);
-            } else {
-              for (Index l = b.lb; l <= b.ub; l += b.st)
-                L.values.push_back(dad.global_of_local(ip.dim, l, coord) +
-                                   lower);
-            }
-            L.val0 = L.values.front();
-            L.step = L.count > 1 ? L.values[1] - L.values[0] : st;
-            bool uniform = true;
-            for (size_t i = 2; i < L.values.size(); ++i)
-              uniform = uniform && L.values[i] - L.values[i - 1] == L.step;
-            if (uniform) L.values.clear();  // progression form is exact
-          } else {
-            L.val0 = dad.global_of_local(ip.dim, b.lb, coord) + lower;
-            L.step = L.count > 1
-                         ? dad.global_of_local(ip.dim, b.lb + b.st, coord) +
-                               lower - L.val0
-                         : st;
-          }
-        }
-      } else if (ip.synth_grid_dim >= 0) {
-        const Index total = trip_count(lo, hi, st);
-        const Index p = env_.compiled.mapping.grid.extent(ip.synth_grid_dim);
-        const Index chunk = (total + p - 1) / p;
-        const int coord = coords_[static_cast<size_t>(ip.synth_grid_dim)];
-        const Index first = static_cast<Index>(coord) * chunk;
-        const Index last = std::min(first + chunk, total);
-        L.count = std::max<Index>(0, last - first);
-        L.val0 = lo + first * st;
-        L.step = st;
-      } else {
-        L.count = trip_count(lo, hi, st);
-        L.val0 = lo;
-        L.step = st;
-      }
-      plan_->loops.push_back(std::move(L));
-      lrs_.push_back(std::move(lr));
-      ips_.push_back(&ip);
-    }
-  }
-
-  RefPlan build_ref_plan(const RefInfo& ref, bool is_write) {
+  RefPlan build_ref_plan(const RefInfo& ref, bool is_write, RefBind& rb) {
     const size_t nv = plan_->loops.size();
     switch (ref.access) {
       case Access::kScalarSlot: {
@@ -509,13 +659,9 @@ class Builder {
         r.terms.resize(nv);
         // Slab index: odometer over the slab variables in spec order, last
         // variable fastest (matches the pack order).
-        long long mult = 1;
         for (auto it = ref.slab_vars.rbegin(); it != ref.slab_vars.rend();
-             ++it) {
-          const int k = level_of(*it);
-          r.terms[static_cast<size_t>(k)].stride = mult;
-          mult *= plan_->loops[static_cast<size_t>(k)].count;
-        }
+             ++it)
+          rb.odometer.push_back(level_of(*it));
         return r;
       }
       case Access::kIterBuf: {
@@ -535,18 +681,14 @@ class Builder {
           decline("logical gather buffer");
         r.buf = &env_.bufs.at(static_cast<size_t>(ref.buffer_id));
         r.terms.resize(nv);
-        long long mult = 1;
-        for (size_t k = nv; k-- > 0;) {
-          r.terms[k].stride = mult;
-          mult *= plan_->loops[k].count;
-        }
+        for (size_t k = nv; k-- > 0;) rb.odometer.push_back(static_cast<int>(k));
         arrays_.insert(ref.array);
         return r;
       }
       case Access::kDirect:
         break;
     }
-    return direct_ref_plan(ref, is_write);
+    return direct_ref_plan(ref, is_write, rb);
   }
 
   /// Compile one vector-subscripted reference's subscript expressions to
@@ -561,10 +703,7 @@ class Builder {
         static_cast<int>(ref.expr->args.size()) != rank)
       decline("subscript rank mismatch");
     gi.array = ref.array;
-    gi.gstrides.assign(static_cast<size_t>(rank), 1);
-    for (int d = rank - 2; d >= 0; --d)
-      gi.gstrides[static_cast<size_t>(d)] =
-          gi.gstrides[static_cast<size_t>(d + 1)] * dad.extent(d + 1);
+    gi.gstrides = global_strides(dad);
     for (int d = 0; d < rank; ++d) {
       gi.lowers.push_back(env_.lower_of(ref.array, d));
       gi.extents.push_back(dad.extent(d));
@@ -574,8 +713,51 @@ class Builder {
     return gi;
   }
 
-  RefPlan direct_ref_plan(const RefInfo& ref, bool is_write) {
-    const size_t nv = plan_->loops.size();
+  static std::vector<long long> global_strides(const Dad& dad) {
+    std::vector<long long> g(static_cast<size_t>(dad.rank()), 1);
+    for (int d = dad.rank() - 2; d >= 0; --d)
+      g[static_cast<size_t>(d)] =
+          g[static_cast<size_t>(d + 1)] * dad.extent(d + 1);
+    return g;
+  }
+
+  /// The affine part of one subscript dimension: constant, runtime term
+  /// and per-level coefficients.
+  DimBind affine_dim(const RefInfo& ref, int d) {
+    const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
+    DimBind db;
+    db.c0 = sub.cst - env_.lower_of(ref.array, d);
+    if (sub.runtime) db.rt = scalar_tape(*sub.runtime);
+    for (const auto& [var, coef] : sub.coefs)
+      if (coef != 0) db.coefs.emplace_back(level_of(var), coef);
+    return db;
+  }
+
+  /// Concatenation-buffered lhs: the recurrence yields the flat global
+  /// element id each iteration writes (the tree walk's eval_subs +
+  /// flat_global_of); an out-of-range destination fails the bind, and the
+  /// tree walk raises the diagnostic.
+  RefPlan value_buffer_ref(const RefInfo& ref, RefBind& rb) {
+    const Dad& dad = env_.dads.at(ref.array);
+    if (static_cast<int>(ref.subs.size()) != dad.rank())
+      decline("subscript rank mismatch");
+    const std::vector<long long> gstrides = global_strides(dad);
+    RefPlan rp;
+    rp.kind = RefPlan::Kind::kValueBuf;
+    rp.terms.resize(plan_->loops.size());
+    for (int d = 0; d < dad.rank(); ++d) {
+      if (ref.subs[static_cast<size_t>(d)].kind != AffineSub::Kind::kAffine)
+        decline("non-affine buffered lhs subscript");
+      DimBind db = affine_dim(ref, d);
+      db.scale = gstrides[static_cast<size_t>(d)];
+      db.hi_ok = dad.extent(d) - 1;
+      rb.dims.push_back(std::move(db));
+    }
+    arrays_.insert(ref.array);
+    return rp;
+  }
+
+  RefPlan direct_ref_plan(const RefInfo& ref, bool is_write, RefBind& rb) {
     RefPlan rp;
     const Dad* dad = nullptr;
     std::vector<Index> aext;
@@ -614,8 +796,7 @@ class Builder {
       strides[static_cast<size_t>(d)] =
           strides[static_cast<size_t>(d + 1)] * aext[static_cast<size_t>(d + 1)];
 
-    rp.terms.resize(nv);
-    long long base = 0;
+    rp.terms.resize(plan_->loops.size());
     for (int d = 0; d < rank; ++d) {
       const AffineSub& sub = ref.subs[static_cast<size_t>(d)];
       if (sub.kind != AffineSub::Kind::kAffine)
@@ -627,46 +808,34 @@ class Builder {
       const Index lext = dad->local_extent(d, coord);
 
       // Per-dim local-index decomposition: constant + per-level terms.
-      long long c0 = 0;
-      std::vector<OffsetTerm> dterms(nv);
+      DimBind db;
       const bool simple =
           m.kind == DistKind::kCollapsed ||
           (m.kind == DistKind::kBlock && m.align_stride == 1);
       if (simple) {
-        const long long rt =
-            sub.runtime ? eval_scalar(*sub.runtime).as_i() : 0;
-        c0 = sub.cst + rt - env_.lower_of(ref.array, d);
-        if (m.kind == DistKind::kBlock) {
-          // local = global - first owned global (unit alignment stride).
-          if (lext == 0) decline("empty local block");
-          c0 -= dad->global_of_local(d, 0, coord);
-        }
-        for (const auto& [var, coef] : sub.coefs) {
-          if (coef == 0) continue;
-          const int k = level_of(var);
-          const PlanLoop& L = plan_->loops[static_cast<size_t>(k)];
-          OffsetTerm& t = dterms[static_cast<size_t>(k)];
-          if (L.values.empty()) {
-            c0 += coef * L.val0;
-            t.stride += coef * L.step;
-          } else {
-            t.table.resize(static_cast<size_t>(L.count));
-            for (Index c = 0; c < L.count; ++c)
-              t.table[static_cast<size_t>(c)] =
-                  coef * L.values[static_cast<size_t>(c)];
-          }
-        }
+        db = affine_dim(ref, d);
+        // BLOCK: local = global - first owned global (unit alignment
+        // stride).  An empty local block admits no index at all.
+        if (m.kind == DistKind::kBlock && lext > 0)
+          db.c0 -= dad->global_of_local(d, 0, coord);
+      } else if (sub.is_scalar()) {
+        // CYCLIC / CYCLIC(k) / strided alignment, scalar subscript (the
+        // pivot column of A(I, K)): resolved through the DAD at bind time.
+        db = affine_dim(ref, d);
+        db.owner = dad;
+        db.dim = d;
+        db.coord = coord;
       } else {
-        // CYCLIC / CYCLIC(k) / strided alignment: only the identity access
-        // on the dimension the iteration was partitioned by — the local
-        // index progression is then exactly the set_BOUND LocalRange.
+        // ... otherwise only the identity access on the dimension the
+        // iteration was partitioned by — the local index progression is
+        // then exactly the set_BOUND LocalRange.
         const std::string var = sub.single_var();
         if (var.empty() || sub.coef(var) != 1 || sub.has_runtime())
           decline("non-identity subscript on cyclic dimension");
         const int k = level_of(var);
-        if (!lrs_[static_cast<size_t>(k)])
+        const IndexPartition& ip = s_.indices[static_cast<size_t>(k)];
+        if (ip.array.empty())
           decline("cyclic subscript variable not set_BOUND partitioned");
-        const IndexPartition& ip = *ips_[static_cast<size_t>(k)];
         const Dad& pdad = env_.dads.at(ip.array);
         if (!same_dim_map(m, pdad.dim(ip.dim)) ||
             dad->extent(d) != pdad.extent(ip.dim))
@@ -674,55 +843,19 @@ class Builder {
         if (sub.cst - env_.lower_of(ref.array, d) !=
             -env_.lower_of(ip.array, ip.dim))
           decline("offset subscript on cyclic dimension");
-        const LocalRange& b = *lrs_[static_cast<size_t>(k)];
-        OffsetTerm& t = dterms[static_cast<size_t>(k)];
-        if (b.enumerated()) {
-          t.table.assign(b.indices.begin(), b.indices.end());
-        } else {
-          c0 += b.lb;
-          t.stride = b.st;
-        }
+        db.range_level = k;
       }
-
-      // Verify every touched local index stays inside the allocation: reads
-      // may use the overlap (ghost) area, writes must be owned.  This is
-      // the planner's replacement for the per-element at_global/_ghost
-      // require() checks; anything outside falls back to the tree walk.
-      long long mn = c0;
-      long long mx = c0;
-      for (size_t k = 0; k < nv; ++k) {
-        const OffsetTerm& t = dterms[k];
-        const Index count = plan_->loops[k].count;
-        if (!t.table.empty()) {
-          const auto [lo_it, hi_it] =
-              std::minmax_element(t.table.begin(), t.table.end());
-          mn += *lo_it;
-          mx += *hi_it;
-        } else if (t.stride != 0) {
-          const long long end = t.stride * (count - 1);
-          mn += std::min<long long>(0, end);
-          mx += std::max<long long>(0, end);
-        }
+      db.scale = strides[static_cast<size_t>(d)];
+      db.shift = m.overlap_lo;
+      db.lo_ok = is_write ? 0 : -static_cast<long long>(m.overlap_lo);
+      db.hi_ok = is_write ? lext - 1
+                          : lext + static_cast<long long>(m.overlap_hi) - 1;
+      if (lext == 0) {
+        db.lo_ok = 0;
+        db.hi_ok = -1;
       }
-      const long long lo_ok = is_write ? 0 : -static_cast<long long>(m.overlap_lo);
-      const long long hi_ok =
-          is_write ? lext - 1 : lext + static_cast<long long>(m.overlap_hi) - 1;
-      if (mn < lo_ok || mx > hi_ok)
-        decline("subscript range outside local allocation",
-                /*structural=*/false);
-
-      // Flatten into the merged per-level flat-offset recurrence.
-      const long long sd = strides[static_cast<size_t>(d)];
-      base += sd * (c0 + m.overlap_lo);
-      for (size_t k = 0; k < nv; ++k) {
-        const Index count = plan_->loops[k].count;
-        if (!dterms[k].table.empty())
-          term_add_table(rp.terms[k], dterms[k].table, sd, count);
-        else if (dterms[k].stride != 0)
-          term_add_affine(rp.terms[k], sd * dterms[k].stride, count);
-      }
+      rb.dims.push_back(std::move(db));
     }
-    rp.base = base;
     arrays_.insert(ref.array);
     return rp;
   }
@@ -730,9 +863,11 @@ class Builder {
   int ref_id_of(const RefInfo* ref) {
     auto it = ref_ids_.find(ref);
     if (it != ref_ids_.end()) return it->second;
-    RefPlan rp = build_ref_plan(*ref, /*is_write=*/false);
+    RefBind rb;
+    RefPlan rp = build_ref_plan(*ref, /*is_write=*/false, rb);
     const int id = static_cast<int>(plan_->refs.size());
     plan_->refs.push_back(std::move(rp));
+    read_binds_.push_back(std::move(rb));
     ref_ids_.emplace(ref, id);
     return id;
   }
@@ -740,6 +875,16 @@ class Builder {
   Tape compile_tape(const Expr& e) {
     Tape t;
     emit(e, t);
+    return t;
+  }
+
+  /// A scalar-context tape (loop bounds, guard subscripts, runtime
+  /// subscript terms): literals, scalar variables, arithmetic and
+  /// elementwise intrinsics — the interpreter's scalar eval().
+  Tape scalar_tape(const Expr& e) {
+    scalar_ctx_ = true;
+    Tape t = compile_tape(e);
+    scalar_ctx_ = false;
     return t;
   }
 
@@ -757,10 +902,12 @@ class Builder {
             {Op::kConst, 0, nullptr, Value::logical(e.logical_value)});
         return;
       case ExprKind::kVarRef: {
-        for (size_t k = 0; k < s_.indices.size(); ++k) {
-          if (s_.indices[k].var == e.name) {
-            out.push_back({Op::kVar, static_cast<int>(k), nullptr, {}});
-            return;
+        if (!scalar_ctx_) {
+          for (size_t k = 0; k < s_.indices.size(); ++k) {
+            if (s_.indices[k].var == e.name) {
+              out.push_back({Op::kVar, static_cast<int>(k), nullptr, {}});
+              return;
+            }
           }
         }
         auto it = env_.scalars.find(e.name);
@@ -787,6 +934,7 @@ class Builder {
       case ExprKind::kArrayRef: {
         if (env_.compiled.sema.symbols.count(e.name) &&
             env_.compiled.sema.symbols.at(e.name).is_array()) {
+          if (scalar_ctx_) decline("array element in scalar context");
           auto rit = ref_of_.find(&e);
           if (rit != ref_of_.end()) {
             out.push_back({Op::kRef, ref_id_of(rit->second), nullptr, {}});
@@ -867,11 +1015,12 @@ class Builder {
   Env& env_;
   std::vector<int> coords_;
   bool irregular_ = false;
+  bool scalar_ctx_ = false;
   std::shared_ptr<ExecPlan> plan_;
-  std::vector<std::optional<LocalRange>> lrs_;
-  std::vector<const IndexPartition*> ips_;
   std::map<const Expr*, const RefInfo*> ref_of_;
   std::map<const RefInfo*, int> ref_ids_;
+  std::vector<RefBind> read_binds_;  ///< parallel to plan_->refs
+  RefBind lhs_bind_;
   std::set<std::string> arrays_;
 };
 
@@ -892,6 +1041,9 @@ Value load_ref(const RefPlan& r, long long off) {
       return Value::integer(r.buf->ivals[static_cast<size_t>(off)]);
     case RefPlan::Kind::kScalarSlot:
       return r.buf->scalar;
+    case RefPlan::Kind::kValueBuf:
+    case RefPlan::Kind::kNone:
+      break;  // write-only kinds: never addressed by kRef
   }
   return Value::real(0);
 }
@@ -974,113 +1126,154 @@ Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
 }
 
 Index run_exec_plan(const ExecPlan& p, PlanScratch& scratch) {
-  if (p.masked_out) return 0;
-  const size_t nv = p.loops.size();
-  if (nv == 0) return 0;
-  for (const PlanLoop& l : p.loops)
-    if (l.count == 0) return 0;
-
   const size_t nr = p.refs.size();
-  std::vector<Index>& counters = scratch.counters;
-  std::vector<Index>& varvals = scratch.varvals;
-  counters.assign(nv, 0);
-  varvals.resize(nv);
-  for (size_t k = 0; k < nv; ++k) varvals[k] = p.loops[k].value_at(0);
-
-  // Current flat offsets (reads, then the lhs at index nr), maintained
-  // incrementally: when a counter changes, only that level's contribution
-  // is swapped out.
-  auto ref_at = [&](size_t r) -> const RefPlan& {
-    return r < nr ? p.refs[r] : p.lhs;
-  };
-  std::vector<long long>& offs = scratch.offs;
-  std::vector<long long>& contrib = scratch.contrib;
-  offs.resize(nr + 1);
-  contrib.resize((nr + 1) * nv);
-  for (size_t r = 0; r <= nr; ++r) {
-    long long off = ref_at(r).base;
-    for (size_t k = 0; k < nv; ++k) {
-      const long long c = ref_at(r).terms[k].at(0);
-      contrib[r * nv + k] = c;
-      off += c;
-    }
-    offs[r] = off;
-  }
-  auto update_level = [&](size_t k, Index c) {
-    for (size_t r = 0; r <= nr; ++r) {
-      const long long nc = ref_at(r).terms[k].at(c);
-      offs[r] += nc - contrib[r * nv + k];
-      contrib[r * nv + k] = nc;
-    }
-  };
-
   std::vector<Value>& stack = scratch.stack;
   stack.reserve(p.rhs.ins.size() + p.mask.ins.size() + 4);
-
-  Index iters = 0;
-  for (;;) {
-    ++iters;
-    bool store = true;
-    if (!p.mask.empty())
-      store =
-          eval_tape(p.mask, p.refs, varvals.data(), offs.data(), stack).as_b();
-    if (store) {
-      const Value v =
-          eval_tape(p.rhs, p.refs, varvals.data(), offs.data(), stack);
-      const long long off = offs[nr];
-      switch (p.lhs.kind) {
-        case RefPlan::Kind::kRealDirect: p.lhs.dbase[off] = v.as_d(); break;
-        case RefPlan::Kind::kIntDirect: p.lhs.ibase[off] = v.as_i(); break;
-        case RefPlan::Kind::kLogicalDirect:
-          p.lhs.lbase[off] = static_cast<unsigned char>(v.as_b() ? 1 : 0);
-          break;
-        default:
-          throw RtsError("exec plan: bad lhs kind");
-      }
-    }
-    // Odometer, last variable fastest (matches the tree walk).
-    size_t k = nv;
-    for (;;) {
-      if (k == 0) return iters;
-      --k;
-      if (++counters[k] < p.loops[k].count) {
-        varvals[k] = p.loops[k].value_at(counters[k]);
-        update_level(k, counters[k]);
-        break;
-      }
-      counters[k] = 0;
-      varvals[k] = p.loops[k].value_at(0);
-      update_level(k, 0);
-    }
+  if (p.lhs.kind == RefPlan::Kind::kValueBuf) {
+    // Buffered values for the concatenation (masks are declined: the
+    // read-back of masked slots stays on the tree walk).
+    scratch.values.clear();
+    scratch.dest_ids.clear();
+    return for_each_iteration(
+        p, scratch, [&](const Index* varvals, const long long* offs) {
+          const Value v = eval_tape(p.rhs, p.refs, varvals, offs, stack);
+          scratch.values.push_back(v.as_d());
+          scratch.dest_ids.push_back(offs[nr]);
+        });
   }
+  return for_each_iteration(
+      p, scratch, [&](const Index* varvals, const long long* offs) {
+        if (!p.mask.empty() &&
+            !eval_tape(p.mask, p.refs, varvals, offs, stack).as_b())
+          return;
+        const Value v = eval_tape(p.rhs, p.refs, varvals, offs, stack);
+        const long long off = offs[nr];
+        switch (p.lhs.kind) {
+          case RefPlan::Kind::kRealDirect: p.lhs.dbase[off] = v.as_d(); break;
+          case RefPlan::Kind::kIntDirect: p.lhs.ibase[off] = v.as_i(); break;
+          case RefPlan::Kind::kLogicalDirect:
+            p.lhs.lbase[off] = static_cast<unsigned char>(v.as_b() ? 1 : 0);
+            break;
+          default:
+            throw RtsError("exec plan: bad lhs kind");
+        }
+      });
+}
+
+Index run_reduce_plan(const ExecPlan& p, PlanScratch& scratch,
+                      Reduction& red) {
+  red.reset(p.reduce);
+  if (!p.masked_out && p.loops.front().count > 0)
+    red.start(p.loops.front().value_at(0));
+  std::vector<Value>& stack = scratch.stack;
+  return for_each_iteration(
+      p, scratch, [&](const Index* varvals, const long long* offs) {
+        if (!p.mask.empty() &&
+            !eval_tape(p.mask, p.refs, varvals, offs, stack).as_b())
+          return;
+        red.add(eval_tape(p.rhs, p.refs, varvals, offs, stack).as_d(),
+                varvals[0]);
+      });
 }
 
 PlanEntry build_exec_plan(const SpmdStmt& s, Env& env) {
   return Builder(s, env).build();
 }
 
+bool bind_exec_plan(ExecPlan& p) {
+  PlanBinding& b = p.binding;
+  if (b.bound) {
+    bool same = true;
+    for (size_t i = 0; i < b.params.size() && same; ++i)
+      same = same_value(*b.params[i], b.last[i]);
+    if (same) return b.ok;
+  }
+  for (size_t i = 0; i < b.params.size(); ++i) b.last[i] = *b.params[i];
+  b.bound = true;
+  ++b.generation;
+  b.ok = bind_nest(p) && (nest_empty(p) || bind_refs(p));
+  return b.ok;
+}
+
 IrrPlanEntry build_irregular_plan(const SpmdStmt& s, Env& env) {
   return Builder(s, env, /*irregular=*/true).build_irr();
 }
 
-std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env) {
+bool reduce_op_of(const std::string& name, ReduceOp& op) {
+  static const std::pair<const char*, ReduceOp> kOps[] = {
+      {"SUM", ReduceOp::kSum},       {"PRODUCT", ReduceOp::kProduct},
+      {"COUNT", ReduceOp::kCount},   {"MAXVAL", ReduceOp::kMaxval},
+      {"MINVAL", ReduceOp::kMinval}, {"MAXLOC", ReduceOp::kMaxloc},
+      {"MINLOC", ReduceOp::kMinloc}, {"ANY", ReduceOp::kAny},
+      {"ALL", ReduceOp::kAll},
+  };
+  for (const auto& [n, o] : kOps) {
+    if (name == n) {
+      op = o;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Reduction::reset(ReduceOp o) {
+  op = o;
+  switch (o) {
+    case ReduceOp::kProduct:
+    case ReduceOp::kAll: acc = 1; break;
+    case ReduceOp::kMaxval:
+    case ReduceOp::kMaxloc: acc = -1e300; break;
+    case ReduceOp::kMinval:
+    case ReduceOp::kMinloc: acc = 1e300; break;
+    default: acc = 0; break;
+  }
+  loc = 0;
+  have_loc = false;
+}
+
+double reduce_combine(ReduceOp op, double x, double y) {
+  switch (op) {
+    case ReduceOp::kProduct: return x * y;
+    case ReduceOp::kMaxval: return std::max(x, y);
+    case ReduceOp::kMinval: return std::min(x, y);
+    case ReduceOp::kAny: return x != 0 || y != 0 ? 1.0 : 0.0;
+    case ReduceOp::kAll: return x != 0 && y != 0 ? 1.0 : 0.0;
+    default: return x + y;  // SUM, COUNT
+  }
+}
+
+std::vector<std::string> plan_key_scalars(const SpmdStmt& s, const Env& env,
+                                          bool parametric) {
   std::set<std::string> names;
   auto walk = [&](const Expr& e, auto&& self) -> void {
-    if (e.kind == ExprKind::kVarRef && env.scalars.count(e.name))
-      names.insert(e.name);
+    if (e.kind == ExprKind::kVarRef && env.scalars.count(e.name)) {
+      // PARAMETER constants never change: nothing to key on.
+      auto sit = env.compiled.sema.symbols.find(e.name);
+      const bool constant = sit != env.compiled.sema.symbols.end() &&
+                            sit->second.is_parameter;
+      if (!(parametric && constant)) names.insert(e.name);
+    }
     for (const ExprPtr& x : e.args)
       if (x) self(*x, self);
   };
   for (const IndexPartition& ip : s.indices) {
-    walk(*ip.lo, walk);
-    walk(*ip.hi, walk);
+    // Parametric plans bake only what fixes their shape: strides, and the
+    // bounds of partitions whose local ranges enumerate value tables.
+    const bool tables = !ip.array.empty() &&
+                        nonaffine_local(env.dads.at(ip.array).dim(ip.dim));
+    if (!parametric || tables) {
+      walk(*ip.lo, walk);
+      walk(*ip.hi, walk);
+    }
     if (ip.st) walk(*ip.st, walk);
   }
-  for (const ProcGuard& g : s.guards)
-    if (g.sub.runtime) walk(*g.sub.runtime, walk);
-  for (const RefInfo& ref : s.refs)
-    for (const AffineSub& sub : ref.subs)
-      if (sub.runtime) walk(*sub.runtime, walk);
+  if (!parametric) {
+    for (const ProcGuard& g : s.guards)
+      if (g.sub.runtime) walk(*g.sub.runtime, walk);
+    for (const RefInfo& ref : s.refs)
+      for (const AffineSub& sub : ref.subs)
+        if (sub.runtime) walk(*sub.runtime, walk);
+  }
   return std::vector<std::string>(names.begin(), names.end());
 }
 

@@ -29,22 +29,21 @@ void StmtCache::record_structural_decline(Family f, int stmt_id) {
 }
 
 const std::vector<std::string>& StmtCache::key_scalars(
-    const compile::SpmdStmt& s, const Env& env) {
-  auto it = key_scalars_.find(s.stmt_id);
-  if (it != key_scalars_.end()) return it->second;
-  // Both planners key on the same scalars, so the list is shared under
-  // the regular family's namespace (the family every statement asks
-  // first).
-  const std::string& ns = shared_ns_[idx(Family::kRegular)];
+    const compile::SpmdStmt& s, const Env& env, Family family) {
+  auto& memo = key_scalars_[idx(family)];
+  auto it = memo.find(s.stmt_id);
+  if (it != memo.end()) return it->second;
+  const std::string& ns = shared_ns_[idx(family)];
   if (shared_) {
     std::vector<std::string> names;
     if (shared_->lookup_key_scalars(ns, s.stmt_id, names)) {
       ++stats_.shared_hits;
-      return key_scalars_.emplace(s.stmt_id, std::move(names)).first->second;
+      return memo.emplace(s.stmt_id, std::move(names)).first->second;
     }
   }
-  auto& names =
-      key_scalars_.emplace(s.stmt_id, plan_key_scalars(s, env)).first->second;
+  auto& names = memo.emplace(s.stmt_id, plan_key_scalars(
+                                            s, env, family == Family::kRegular))
+                    .first->second;
   if (shared_) shared_->install_key_scalars(ns, s.stmt_id, names);
   return names;
 }
@@ -52,9 +51,9 @@ const std::vector<std::string>& StmtCache::key_scalars(
 StmtCache::Entry& StmtCache::entry(const compile::SpmdStmt& s, const Env& env,
                                    std::span<const std::string> key_names) {
   // Key: "<stmt_id>@<name>=<value>;..." with the values recorded exactly
-  // as the planners bake them (as_i everywhere: bounds, guards and runtime
-  // subscript terms are integer contexts), so equal keys imply equal
-  // plans.  Integers format into a stack buffer — std::to_string would
+  // as the planners bake them (as_i everywhere: bounds, strides and
+  // subscript terms are integer contexts), so equal keys imply equal plan
+  // shapes.  Integers format into a stack buffer — std::to_string would
   // allocate on every call, defeating the scratch-string reuse.
   std::string& key = key_scratch_;
   char buf[24];
@@ -99,7 +98,7 @@ Index StmtCache::run_native(Entry& e) {
     ++stats_.native_attaches;
     e.native = std::make_unique<native::Attachment>(native::attach(plan));
   }
-  const Index iters = native::run_attached(*e.native);
+  const Index iters = native::run_attached(*e.native, plan);
   ++(iters < 0 ? stats_.native_fallbacks : stats_.native_runs);
   return iters;
 }

@@ -1,7 +1,10 @@
 #pragma once
 // StmtCache: the per-processor statement cache — one compiled artifact per
 // (statement × baked runtime scalars), reused across DO trips the way the
-// PARTI runtime reuses a schedule.
+// PARTI runtime reuses a schedule.  Regular plans are parametric: their
+// key bakes only the scalars that fix the plan's shape, and the plan
+// rebinds itself when a parameter changes (exec/exec_plan.hpp), so a
+// Gauss statement keeps one entry for every pivot.
 //
 // An entry holds every part the executor ladder compiles for a statement:
 //
@@ -11,8 +14,9 @@
 //   comm       the compiled pre-communication slots of a regular plan
 //   native     the JIT kernel attachment of a regular plan
 //
-// One key builder serves both planners (the key covers the same scalars
-// for both), and one invalidate_array drops every entry that binds the
+// One key builder serves both planners (each family has its own key-scalar
+// list: the regular planner's baked scalars, the irregular planner's every
+// scalar), and one invalidate_array drops every entry that binds the
 // array in any part — the union of the parts' bound-array lists — so the
 // parts can never go stale separately.  Structural
 // declines are remembered per statement and per planner family, so
@@ -45,7 +49,8 @@ class StmtCache {
     std::optional<PlanEntry> regular;
     std::optional<IrrPlanEntry> irregular;
     std::optional<CommPlans::StmtPlan> comm;
-    /// Boxed: most entries (every Gauss pivot trip) never attach.
+    /// Boxed: most entries (reductions, concatenation plans, declines,
+    /// empty nests) never attach.
     std::unique_ptr<native::Attachment> native;  ///< binds the plan's arrays
   };
 
@@ -66,6 +71,9 @@ class StmtCache {
     long long native_fallbacks = 0;  ///< run_native answered -1 after attach
     long long native_invalidations = 0;
     int shared_hits = 0;  ///< lookups answered by the SharedPlanMeta store
+    /// FORALL and reduction executions the ladder sent to the tree walk
+    /// (full runs only; skeleton runs never plan).
+    long long tree_stmts = 0;
   };
 
   /// True when `family` declined `stmt_id` for reasons independent of
@@ -73,10 +81,10 @@ class StmtCache {
   /// local miss and pulls hits local.
   [[nodiscard]] bool declined_structurally(Family family, int stmt_id);
 
-  /// Memoized plan_key_scalars(s, env): the name list is static per
-  /// statement; only the formatted values change per call.
+  /// Memoized plan_key_scalars(s, env, family == kRegular): the name list
+  /// is static per statement; only the formatted values change per call.
   const std::vector<std::string>& key_scalars(const compile::SpmdStmt& s,
-                                              const Env& env);
+                                              const Env& env, Family family);
 
   /// The entry for `s` at the current values of `key_names` (created
   /// empty on first use).  Warm lookups do not allocate.
@@ -107,8 +115,11 @@ class StmtCache {
     return e.comm.emplace(build());
   }
 
-  /// Run the entry's regular plan as a native kernel, attaching it on
-  /// first use.  Returns the iteration count, or -1 when the caller must
+  /// One statement execution fell through every compiled rung.
+  void note_tree_stmt() { ++stats_.tree_stmts; }
+
+  /// Run the entry's (bound) regular plan as a native kernel, attaching it
+  /// on first use and re-packing its arguments after a rebind.  Returns the iteration count, or -1 when the caller must
   /// use the tape interpreter instead.
   Index run_native(Entry& e);
 
@@ -150,7 +161,7 @@ class StmtCache {
 
   std::unordered_map<std::string, Entry> map_;
   std::set<int> declines_[2];  ///< structural declines, by Family
-  std::unordered_map<int, std::vector<std::string>> key_scalars_;
+  std::unordered_map<int, std::vector<std::string>> key_scalars_[2];
   std::string key_scratch_;  ///< reused key buffer (warm trips: no alloc)
   SharedPlanMeta* shared_ = nullptr;
   std::string shared_ns_[2];  ///< by Family

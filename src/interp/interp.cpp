@@ -153,6 +153,7 @@ class Node {
       std::lock_guard<std::mutex> lock(shared_.mu);
       shared_.clock_snapshot[static_cast<size_t>(proc_.rank())] = proc_.clock();
       shared_.stats_snapshot[static_cast<size_t>(proc_.rank())] = proc_.stats();
+      shared_.result.tree_stmts += stmts_.stats().tree_stmts;
     }
     collect_results();
   }
@@ -528,39 +529,54 @@ class Node {
     return nullptr;
   }
 
-  /// Planned fast path: look up (or lazily build) this statement's
-  /// execution plan for the current runtime-scalar values and run it.
-  /// Returns false when the planner declined — the caller falls back to
-  /// the tree walk.  Structural declines are remembered per statement so
-  /// fallback statements skip key construction entirely.
-  bool try_planned_forall(const SpmdStmt& s) {
-    if (opt_.skeleton || !opt_.exec_plans) return false;
+  /// The statement's regular plan, looked up (or lazily built) in the
+  /// statement cache and bound to the current parameter values — or null
+  /// when the planner declines: the caller falls back to the next rung.
+  /// Structural declines are remembered per statement so fallback
+  /// statements skip key construction entirely; a failed bind declines
+  /// this execution only.
+  exec::StmtCache::Entry* planned_entry(const SpmdStmt& s) {
+    if (opt_.skeleton || !opt_.exec_plans) return nullptr;
     // Unnumbered statements (hand-built programs that bypassed the driver)
     // have no stable cache identity: run them on the tree walk.
-    if (s.stmt_id < 0) return false;
+    if (s.stmt_id < 0) return nullptr;
     if (stmts_.declined_structurally(Family::kRegular, s.stmt_id))
-      return false;
-    const std::vector<std::string>& key_names = stmts_.key_scalars(s, env_);
-    exec::StmtCache::Entry& e = stmts_.entry(s, env_, key_names);
+      return nullptr;
+    exec::StmtCache::Entry& e =
+        stmts_.entry(s, env_, stmts_.key_scalars(s, env_, Family::kRegular));
     const exec::PlanEntry& pe = stmts_.regular(
         s.stmt_id, e, [&] { return exec::build_exec_plan(s, env_); });
-    if (!pe.plan) return false;
+    if (!pe.plan || !exec::bind_exec_plan(*pe.plan)) return nullptr;
+    return &e;
+  }
+
+  /// Planned fast path of a FORALL with a direct or concatenation-buffered
+  /// lhs.  Returns false when the planner declined.
+  bool try_planned_forall(const SpmdStmt& s) {
+    exec::StmtCache::Entry* e = planned_entry(s);
+    if (e == nullptr) return false;
+    const exec::ExecPlan& plan = *e->regular->plan;
     // Pre-communication is collective and statement-scoped, not
     // per-element: it runs through compiled descriptors cached in the
     // same entry (bit-identical messages and charges to the tree walk).
     // (The planner admits no schedule-based read buffers, so the guarded
     // iteration ranges those would need are not required here.)
-    comm_plans_.run_pre(s, stmts_.comm(e, [&] {
-      return comm_plans_.build_stmt(s, key_names);
+    comm_plans_.run_pre(s, stmts_.comm(*e, [&] {
+      return comm_plans_.build_stmt(
+          s, stmts_.key_scalars(s, env_, Family::kRegular));
     }));
     // Backend ladder: native kernel when enabled and attachable, tape
     // interpreter otherwise.  Both return the same iteration count, so the
     // simulated cost charged below is identical either way.
     Index iters = -1;
-    if (opt_.native_backend) iters = stmts_.run_native(e);
-    if (iters < 0) iters = exec::run_exec_plan(*pe.plan, plan_scratch_);
+    if (opt_.native_backend) iters = stmts_.run_native(*e);
+    if (iters < 0) iters = exec::run_exec_plan(plan, plan_scratch_);
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
+    // A buffered lhs hands its values to the same concatenation as the
+    // tree walk's.
+    if (plan.lhs.kind == exec::RefPlan::Kind::kValueBuf)
+      run_post_actions(s, plan_scratch_.values, plan_scratch_.dest_ids);
     return true;
   }
 
@@ -576,8 +592,8 @@ class Node {
     if (s.stmt_id < 0) return false;
     if (stmts_.declined_structurally(Family::kIrregular, s.stmt_id))
       return false;
-    exec::StmtCache::Entry& e =
-        stmts_.entry(s, env_, stmts_.key_scalars(s, env_));
+    exec::StmtCache::Entry& e = stmts_.entry(
+        s, env_, stmts_.key_scalars(s, env_, Family::kIrregular));
     const exec::IrrPlanEntry& pe = stmts_.irregular(
         s.stmt_id, e, [&] { return exec::build_irregular_plan(s, env_); });
     if (!pe.plan) return false;
@@ -638,6 +654,7 @@ class Node {
     if (globally_zero_trip(s)) return;
     if (try_planned_forall(s)) return;
     if (try_irregular_forall(s)) return;
+    if (!opt_.skeleton) stmts_.note_tree_stmt();
 
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
 
@@ -1087,23 +1104,7 @@ class Node {
             if (values.empty()) blk.clear();  // nothing to contribute
           }
           gc_.concat_tree<double>(blk);
-          std::vector<Index> g;
-          size_t pos = 0;
-          while (pos < blk.size()) {
-            const size_t nruns = static_cast<size_t>(blk[pos++]);
-            std::vector<std::pair<Index, Index>> runs(nruns);
-            for (size_t rr = 0; rr < nruns; ++rr) {
-              runs[rr].first = static_cast<Index>(blk[pos]);
-              runs[rr].second = static_cast<Index>(blk[pos + 1]);
-              pos += 2;
-            }
-            for (const auto& [start, count] : runs) {
-              for (Index k = 0; k < count; ++k) {
-                rts::unflatten_global(dad, start + k, g);
-                env_.write_element(lhs.array, g, Value::real(blk[pos++]));
-              }
-            }
-          }
+          unpack_concat(lhs.array, blk);
           break;
         }
         case CommKind::kPostcompWrite:
@@ -1162,6 +1163,59 @@ class Node {
     }
   }
 
+  /// Write a combined concatenation block into the (replicated) lhs.
+  /// Each received (start, count) run resolves its local offset once per
+  /// contiguous segment — a row of the last dimension when that dimension
+  /// is collapsed, a single element otherwise — and copies the values
+  /// straight into storage, converting like Env::write_element.
+  void unpack_concat(const std::string& name, const std::vector<double>& blk) {
+    switch (env_.sym(name).type) {
+      case ast::BaseType::kReal:
+        unpack_runs(env_.dar.at(name), blk, [](double v) { return v; });
+        break;
+      case ast::BaseType::kInteger:
+        unpack_runs(env_.iar.at(name), blk,
+                    [](double v) { return static_cast<long long>(v); });
+        break;
+      case ast::BaseType::kLogical:
+        unpack_runs(env_.lar.at(name), blk, [](double v) {
+          return static_cast<unsigned char>(v != 0.0 ? 1 : 0);
+        });
+        break;
+    }
+  }
+
+  template <typename T, typename Convert>
+  void unpack_runs(DistArray<T>& arr, const std::vector<double>& blk,
+                   Convert convert) {
+    const Dad& dad = arr.dad();
+    const int last = dad.rank() - 1;
+    const bool rows = dad.dim(last).kind == DistKind::kCollapsed;
+    std::vector<Index>& g = gidx_scratch_;
+    // Block layout per contributor: [nruns, (start, count)*, values...].
+    size_t pos = 0;
+    while (pos < blk.size()) {
+      const size_t nruns = static_cast<size_t>(blk[pos++]);
+      size_t val = pos + 2 * nruns;
+      for (size_t rr = 0; rr < nruns; ++rr, pos += 2) {
+        Index start = static_cast<Index>(blk[pos]);
+        Index count = static_cast<Index>(blk[pos + 1]);
+        while (count > 0) {
+          rts::unflatten_global(dad, start, g);
+          const Index seg =
+              rows ? std::min(count, dad.extent(last) -
+                                         g[static_cast<size_t>(last)])
+                   : 1;
+          T* dst = &arr.at_global(g);
+          for (Index k = 0; k < seg; ++k) dst[k] = convert(blk[val++]);
+          start += seg;
+          count -= seg;
+        }
+      }
+      pos = val;
+    }
+  }
+
   // --- scalar assignment / reduction ------------------------------------------
   void exec_scalar_assign(const SpmdStmt& s) {
     bind_refs(s);
@@ -1187,79 +1241,31 @@ class Node {
 
   void exec_reduce(const SpmdStmt& s) {
     bind_refs(s);
-    auto my_ranges = ranges_for_coords(s, gc_.my_coords());
-    std::optional<std::vector<VarRange>> ranges_for_actions = my_ranges;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) run_action(s, a, ranges_for_actions);
-
-    const std::string& op = s.reduce_op;
-    const bool want_loc = op == "MAXLOC" || op == "MINLOC";
-
-    double acc;
-    if (op == "SUM" || op == "COUNT") acc = 0;
-    else if (op == "PRODUCT") acc = 1;
-    else if (op == "MAXVAL" || op == "MAXLOC") acc = -1e300;
-    else if (op == "MINVAL" || op == "MINLOC") acc = 1e300;
-    else if (op == "ANY") acc = 0;
-    else if (op == "ALL") acc = 1;
-    else throw RtsError("unsupported reduction " + op);
-    Index loc = 0;
-    bool have_loc = false;
-
+    exec::Reduction red;
     Index iters = 0;
-    if (my_ranges) {
-      if (opt_.skeleton) {
-        Index total = 1;
-        for (const VarRange& r : *my_ranges) total *= r.count;
-        iters = std::max<Index>(total, 0);
-        if (want_loc && !(*my_ranges).empty() && (*my_ranges)[0].count > 0) {
-          loc = (*my_ranges)[0].val0;
-          have_loc = true;
-        }
-      } else {
-        // MAXLOC/MINLOC stay well-defined even when every value is NaN
-        // (comparisons all false): fall back to the first index.
-        if (want_loc && !(*my_ranges).empty() && (*my_ranges)[0].count > 0) {
-          loc = (*my_ranges)[0].val0;
-          have_loc = true;
-        }
-        iterate(s, *my_ranges, [&]() {
-          ++iters;
-          if (s.mask && !eval(*s.mask).as_b()) return;
-          const double v = eval(*s.rhs).as_d();
-          if (op == "SUM") acc += v;
-          else if (op == "PRODUCT") acc *= v;
-          else if (op == "COUNT") acc += v != 0 ? 1 : 0;
-          else if (op == "ANY") acc = (acc != 0 || v != 0) ? 1 : 0;
-          else if (op == "ALL") acc = (acc != 0 && v != 0) ? 1 : 0;
-          else if (op == "MAXVAL" || op == "MAXLOC") {
-            if (v > acc) {
-              acc = v;
-              loc = frame_.at(s.indices[0].var);
-              have_loc = true;
-            }
-          } else if (op == "MINVAL" || op == "MINLOC") {
-            if (v < acc) {
-              acc = v;
-              loc = frame_.at(s.indices[0].var);
-              have_loc = true;
-            }
-          }
-        });
-      }
+    if (exec::StmtCache::Entry* e = planned_entry(s)) {
+      // Planned section reduction: the pre-actions (broadcasts, slabs —
+      // the planner admits no schedule-based reads) in exec_reduce's
+      // source order, then the local fold on the plan tape.
+      for (const CommAction& a : s.pre)
+        if (!a.eliminated) run_action(s, a, std::nullopt);
+      iters = exec::run_reduce_plan(*e->regular->plan, plan_scratch_, red);
+    } else {
+      if (!opt_.skeleton) stmts_.note_tree_stmt();
+      iters = tree_reduce(s, red);
     }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
 
     // Reduction tree (paper Table 3 category 2).
-    if (want_loc) {
+    if (red.want_loc()) {
       struct VL {
         double v;
         Index loc;
         unsigned char valid;
       };
       std::vector<VL> box{
-          {acc, loc, static_cast<unsigned char>(have_loc ? 1 : 0)}};
-      const bool mx = op == "MAXLOC";
+          {red.acc, red.loc, static_cast<unsigned char>(red.have_loc ? 1 : 0)}};
+      const bool mx = red.op == exec::ReduceOp::kMaxloc;
       gc_.allreduce(box, [mx](const VL& x, const VL& y) {
         if (!x.valid) return y;
         if (!y.valid) return x;
@@ -1270,23 +1276,43 @@ class Node {
       env_.scalars[s.target] = Value::integer(box[0].valid ? box[0].loc : 0);
       return;
     }
-    std::vector<double> box{acc};
-    if (op == "SUM" || op == "COUNT")
-      gc_.allreduce(box, [](double x, double y) { return x + y; });
-    else if (op == "PRODUCT")
-      gc_.allreduce(box, [](double x, double y) { return x * y; });
-    else if (op == "MAXVAL")
-      gc_.allreduce(box, [](double x, double y) { return std::max(x, y); });
-    else if (op == "MINVAL")
-      gc_.allreduce(box, [](double x, double y) { return std::min(x, y); });
-    else if (op == "ANY")
-      gc_.allreduce(box, [](double x, double y) { return x != 0 || y != 0 ? 1.0 : 0.0; });
-    else if (op == "ALL")
-      gc_.allreduce(box, [](double x, double y) { return x != 0 && y != 0 ? 1.0 : 0.0; });
+    std::vector<double> box{red.acc};
+    const exec::ReduceOp op = red.op;
+    gc_.allreduce(box, [op](double x, double y) {
+      return exec::reduce_combine(op, x, y);
+    });
     const Symbol& sm = env_.sym(s.target);
     env_.scalars[s.target] = sm.type == ast::BaseType::kInteger
                                  ? Value::integer(static_cast<long long>(box[0]))
                                  : Value::real(box[0]);
+  }
+
+  /// The tree walk's local fold: pre-actions, then the section walked
+  /// element by element (skeleton runs charge the count without
+  /// evaluating).  Returns the iteration count.
+  Index tree_reduce(const SpmdStmt& s, exec::Reduction& red) {
+    auto my_ranges = ranges_for_coords(s, gc_.my_coords());
+    for (const CommAction& a : s.pre)
+      if (!a.eliminated) run_action(s, a, my_ranges);
+    exec::ReduceOp op{};
+    if (!exec::reduce_op_of(s.reduce_op, op))
+      throw RtsError("unsupported reduction " + s.reduce_op);
+    red.reset(op);
+    if (!my_ranges) return 0;
+    if (!my_ranges->empty() && (*my_ranges)[0].count > 0)
+      red.start((*my_ranges)[0].val0);
+    Index iters = 0;
+    if (opt_.skeleton) {
+      Index total = 1;
+      for (const VarRange& r : *my_ranges) total *= r.count;
+      return std::max<Index>(total, 0);
+    }
+    iterate(s, *my_ranges, [&]() {
+      ++iters;
+      if (s.mask && !eval(*s.mask).as_b()) return;
+      red.add(eval(*s.rhs).as_d(), frame_.at(s.indices[0].var));
+    });
+    return iters;
   }
 
   // --- whole-array intrinsics ---------------------------------------------------
@@ -1375,6 +1401,7 @@ class Node {
     shared_.result.plan_hits = st.regular.hits;
     shared_.result.plan_misses = st.regular.misses;
     shared_.result.plan_invalidations = st.regular.invalidations;
+    shared_.result.stmt_cache_entries = static_cast<long long>(stmts_.size());
     shared_.result.irregular_hits = st.irregular.hits;
     shared_.result.irregular_misses = st.irregular.misses;
     shared_.result.irregular_invalidations = st.irregular.invalidations;

@@ -106,6 +106,15 @@ struct ProgramResult {
   int plan_hits = 0;
   int plan_misses = 0;
   int plan_invalidations = 0;
+  /// FORALL and reduction executions that fell through every compiled
+  /// rung to the tree walk, summed over ALL processors (full runs only:
+  /// skeleton runs never plan).  Zero means the whole ladder workload ran
+  /// planned.
+  long long tree_stmts = 0;
+  /// Processor 0's statement-cache entries at the end of the run: one per
+  /// statement × baked scalars, so parametric plans keep it at the
+  /// statement count however many DO trips ran.
+  long long stmt_cache_entries = 0;
   /// Native-backend statistics: processor 0's per-node counters, plus this
   /// run's deltas of the process-global JIT cache (codegen-cache hits,
   /// compiler invocations and wall time, dlopen count).  All zero unless

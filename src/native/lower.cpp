@@ -107,6 +107,9 @@ class Lowerer {
         case RefPlan::Kind::kRealIterBuf:
         case RefPlan::Kind::kIntIterBuf:
           fail("iteration buffer (irregular plan)");
+        case RefPlan::Kind::kValueBuf:
+        case RefPlan::Kind::kNone:
+          fail("non-direct lhs");
       }
       os << "  " << ty << "* b" << r << " = (" << ty << "*)base[" << r
          << "];\n";
@@ -306,6 +309,9 @@ class Lowerer {
             case RefPlan::Kind::kRealIterBuf:
             case RefPlan::Kind::kIntIterBuf:
               fail("iteration buffer (irregular plan)");
+            case RefPlan::Kind::kValueBuf:
+            case RefPlan::Kind::kNone:
+              fail("write-only reference kind");
           }
           break;
         }

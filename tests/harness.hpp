@@ -87,6 +87,8 @@ struct DiffRun {
   int plan_misses = 0;
   int irregular_hits = 0;
   int irregular_misses = 0;
+  long long tree_stmts = 0;          ///< summed over all processors
+  long long stmt_cache_entries = 0;  ///< rank 0 node
   long long schedules_built = 0;
   long long gather_bytes = 0;
   long long scatter_bytes = 0;
@@ -111,6 +113,8 @@ inline void fill_counters(DiffRun& d, const interp::ProgramResult& r) {
   d.plan_misses = r.plan_misses;
   d.irregular_hits = r.irregular_hits;
   d.irregular_misses = r.irregular_misses;
+  d.tree_stmts = r.tree_stmts;
+  d.stmt_cache_entries = r.stmt_cache_entries;
   d.schedules_built = r.schedules_built;
   d.gather_bytes = r.gather_bytes;
   d.scatter_bytes = r.scatter_bytes;

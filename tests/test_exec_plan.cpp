@@ -107,19 +107,193 @@ TEST(ExecPlanCache, HitsAcrossDoLoopTrips) {
   EXPECT_EQ(r.plan_hits, 2 * (iters - 1));
 }
 
-TEST(ExecPlanCache, GaussRebuildsPerPivotButPlans) {
-  // The elimination FORALL's bounds depend on K, so every trip builds a new
-  // plan (a miss per trip) — the planner still replaces every per-element
-  // tree walk with the compiled loop.
-  auto r = harness::run_gauss(12, 4, "BLOCK", plans_on());
-  EXPECT_GT(r.plan_misses, 0);
-  EXPECT_LE(harness::max_abs_diff(r, harness::gauss_defined_region(12)), 1e-6);
+TEST(ExecPlanCache, GaussPlansOncePerStatement) {
+  // The pivot K enters the elimination's bounds and subscripts as a plan
+  // parameter, not a key: each statement (MAXLOC reduction, multiplier
+  // concatenation, update) is built once and rebound on every later trip.
+  // No pivoting happens on this diagonally dominant system, so the three
+  // row-swap statements never run.
+  const int n = 12;
+  auto r = harness::run_gauss(n, 4, "BLOCK", plans_on());
+  EXPECT_LE(harness::max_abs_diff(r, harness::gauss_defined_region(n)), 1e-6);
+  EXPECT_EQ(r.plan_misses, 3);
+  EXPECT_EQ(r.plan_hits, 3 * (n - 2));
+  EXPECT_EQ(r.stmt_cache_entries, 3);
+  EXPECT_EQ(r.tree_stmts, 0);
+}
+
+/// A system whose partial pivoting swaps rows: the lower rows dominate
+/// every column.
+double pivoting_entry(int n, Index i, Index j) {
+  if (j == n) return 1.0 + static_cast<double>(i % 5);
+  return static_cast<double>(1 + (i * 7 + j * 13) % 11) *
+         (1.0 + 0.5 * static_cast<double>(i));
+}
+
+DiffRun run_pivoting_gauss(int n, int p, const char* dist,
+                           const interp::RunOptions& ro) {
+  interp::Init init;
+  init.real["A"] = [n](std::span<const Index> g) {
+    return pivoting_entry(n, g[0], g[1]);
+  };
+  auto result =
+      harness::run_source(apps::gauss_source(n, p, dist), init, ro);
+  DiffRun d{"A", result.real_arrays.at("A"),
+            harness::gauss_oracle(n, [n](int i, int j) {
+              return pivoting_entry(n, i, j);
+            })};
+  harness::fill_counters(d, result);
+  return d;
+}
+
+TEST(ExecPlanCache, PivotingGaussPlansRuntimeRowSubscriptsOnce) {
+  // The swaps A(K, K:N+1) = A(IM, K:N+1) subscript a row with the runtime
+  // scalars K and IM: both are plan parameters, so all six statements
+  // plan once (six misses prove the swaps ran) and hit afterwards, with
+  // bit-identical arrays and equal simulated time on every rung.
+  const int n = 12;
+  interp::RunOptions native = plans_on();
+  native.native_backend = true;
+  for (const int p : {1, 4}) {
+    auto tree = run_pivoting_gauss(n, p, "BLOCK", plans_off());
+    auto plan = run_pivoting_gauss(n, p, "BLOCK", plans_on());
+    auto nat = run_pivoting_gauss(n, p, "BLOCK", native);
+    const std::string what = "pivoting gauss p=" + std::to_string(p);
+    expect_bit_identical(plan, tree, 1e-6, what);
+    expect_bit_identical(nat, tree, 1e-6, what + " native");
+    EXPECT_EQ(plan.sim_time, tree.sim_time) << what;
+    EXPECT_EQ(nat.sim_time, tree.sim_time) << what;
+    EXPECT_EQ(plan.plan_misses, 6) << what;
+    EXPECT_GT(plan.plan_hits, 6 * 3) << what;
+    EXPECT_EQ(plan.stmt_cache_entries, 6) << what;
+    EXPECT_EQ(plan.tree_stmts, 0) << what;
+    EXPECT_GT(tree.tree_stmts, 0) << what;
+  }
+}
+
+TEST(ExecPlanCache, CyclicGaussKeepsBakedKeys) {
+  // A CYCLIC(k>1) partition enumerates its local range into value tables
+  // whose shape depends on K, so K stays in the key of the statements
+  // partitioned over the cyclic dimension: they re-plan per pivot, and
+  // still agree with the oracle and the tree walk.
+  const int n = 12;
+  for (const char* dist : {"CYCLIC(2)", "CYCLIC(3)"}) {
+    auto plan = run_pivoting_gauss(n, 4, dist, plans_on());
+    auto tree = run_pivoting_gauss(n, 4, dist, plans_off());
+    expect_bit_identical(plan, tree, 1e-6, dist);
+    EXPECT_LE(harness::max_abs_diff(plan, harness::gauss_defined_region(n)),
+              1e-6)
+        << dist;
+    EXPECT_EQ(plan.sim_time, tree.sim_time) << dist;
+    EXPECT_GT(plan.plan_misses, 6) << dist;
+    EXPECT_GT(plan.stmt_cache_entries, 6) << dist;
+    EXPECT_EQ(plan.tree_stmts, 0) << dist;
+  }
+}
+
+TEST(ExecPlanCache, FailedBindFallsBackForOneTrip) {
+  // C is replicated; S shifts its subscript.  On the second trip S = 2
+  // and the last processor's range check fails (the mask keeps the tree
+  // walk in range, but the bind checks the whole local range): that trip
+  // falls back to the tree walk, and the third trip (S = 0) rebinds and
+  // runs planned again — one miss, two hits on rank 0.
+  const char* src = R"(PROGRAM REBIND
+      INTEGER N
+      PARAMETER (N = 16)
+      REAL A(N)
+      REAL C(N)
+      INTEGER S
+      INTEGER IT
+C$ PROCESSORS P(4)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(BLOCK)
+C$ ALIGN A(I) WITH T(I)
+      DO IT = 1, 3
+        S = 2 - 2 * MOD(IT, 2)
+        FORALL (I = 1:N, I + S .LE. N) A(I) = A(I) + C(I + S)
+      END DO
+      END PROGRAM REBIND
+)";
+  interp::Init init;
+  init.real["C"] = [](std::span<const Index> g) {
+    return static_cast<double>(g[0]) * 1.5;
+  };
+  auto plan = harness::run_source(src, init, plans_on());
+  auto tree = harness::run_source(src, init, plans_off());
+  EXPECT_EQ(plan.real_arrays.at("A"), tree.real_arrays.at("A"));
+  EXPECT_EQ(plan.machine.exec_time, tree.machine.exec_time);
+  EXPECT_EQ(plan.plan_misses, 1);
+  EXPECT_EQ(plan.plan_hits, 2);
+  EXPECT_EQ(plan.tree_stmts, 1);  // the last processor, second trip
+  EXPECT_EQ(tree.tree_stmts, 4 * 3);
+  // Oracle: A(i) = C(i) + C(i+2) + C(i) where in range.
+  const auto& a = plan.real_arrays.at("A");
+  for (int i = 0; i < 16; ++i) {
+    double want = 2.0 * i * 1.5;
+    if (i + 2 < 16) want = i * 1.5 + (i + 2) * 1.5 + i * 1.5;
+    EXPECT_DOUBLE_EQ(a[static_cast<size_t>(i)], want) << "i=" << i;
+  }
 }
 
 TEST(ExecPlanCache, DisabledRunsCollectNoPlanStats) {
   auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", plans_off());
   EXPECT_EQ(r.plan_hits, 0);
   EXPECT_EQ(r.plan_misses, 0);
+}
+
+TEST(ExecPlanCache, ReplicatedLhsConcatenationPlans) {
+  // Replicated destinations plan with a value-buffer lhs and unpack the
+  // concatenation run-wise: full rows arrive as one run spanning several
+  // rows of R, partial rows of S as one run per row; the INTEGER lhs
+  // converts like an element write.  Every rung agrees with the oracle.
+  const char* src = R"(PROGRAM REPL
+      INTEGER N
+      PARAMETER (N = 6)
+      REAL A(N, N)
+      REAL R(N, N)
+      REAL S(N, N)
+      INTEGER IV(N)
+      INTEGER IT
+C$ PROCESSORS P(3)
+C$ TEMPLATE T(N, N)
+C$ DISTRIBUTE T(BLOCK, *)
+C$ ALIGN A(I, J) WITH T(I, J)
+      DO IT = 1, 2
+        FORALL (I = 1:N, J = 1:N) R(I, J) = A(I, J) + IT
+        FORALL (I = IT:N, J = 2:N) S(I, J) = A(I, J) * 2.0
+        FORALL (I = 1:N) IV(I) = A(I, 1) * 3.0 + 0.5
+      END DO
+      END PROGRAM REPL
+)";
+  interp::Init init;
+  init.real["A"] = [](std::span<const Index> g) {
+    return static_cast<double>(g[0] * 10 + g[1]);
+  };
+  auto tree = harness::run_source(src, init, plans_off());
+  for (const auto& ro : {plans_on(), [] {
+                           interp::RunOptions n;
+                           n.native_backend = true;
+                           return n;
+                         }()}) {
+    auto r = harness::run_source(src, init, ro);
+    EXPECT_EQ(r.real_arrays.at("R"), tree.real_arrays.at("R"));
+    EXPECT_EQ(r.real_arrays.at("S"), tree.real_arrays.at("S"));
+    EXPECT_EQ(r.int_arrays.at("IV"), tree.int_arrays.at("IV"));
+    EXPECT_EQ(r.machine.exec_time, tree.machine.exec_time);
+    EXPECT_EQ(r.plan_misses, 3);
+    EXPECT_EQ(r.tree_stmts, 0);
+  }
+  const auto& rr = tree.real_arrays.at("R");
+  const auto& ss = tree.real_arrays.at("S");
+  const auto& iv = tree.int_arrays.at("IV");
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(iv[static_cast<size_t>(i)], static_cast<long long>(i * 30 + 0.5));
+    for (int j = 0; j < 6; ++j) {
+      const size_t k = static_cast<size_t>(i * 6 + j);
+      EXPECT_EQ(rr[k], i * 10 + j + 2.0);
+      EXPECT_EQ(ss[k], j >= 1 ? (i * 10 + j) * 2.0 : 0.0);
+    }
+  }
 }
 
 // --- StmtCache units -----------------------------------------------------------

@@ -4,7 +4,11 @@
 // (tree walk vs execution plans vs native JIT).  Programs mix affine
 // stencils, gathers through indirection arrays, permutation scatters and
 // zero-trip loops over BLOCK / CYCLIC(k) / INDIRECT(MAP) distributions on
-// 1..4 processors.
+// 1..4 processors.  A second leg generates Gauss-shaped programs — a DO K
+// whose FORALL bounds and subscripts are affine in K, with section
+// reductions, replicated-lhs concatenations and runtime row subscripts,
+// 1-D and 2-D — and diffs the rungs against each other: the parametric
+// plans rebind on every trip, and must stay bit-identical to the tree.
 //
 // Reproduce a failure with the printed program index and seed:
 //   F90D_FUZZ_SEED=<seed> ctest -R FuzzDifferential
@@ -12,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <map>
 #include <random>
 #include <sstream>
 
@@ -337,6 +343,201 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
       break;
     }
   }
+}
+
+// --- Gauss-shaped leg ----------------------------------------------------------
+
+/// One random Gauss-shaped program's source text.
+std::string gen_pivot_prog(std::mt19937& rng) {
+  auto pick = [&](int m) { return static_cast<int>(rng() % static_cast<unsigned>(m)); };
+  static const char* kDists[] = {"BLOCK", "BLOCK", "CYCLIC", "CYCLIC(2)",
+                                 "CYCLIC(3)"};
+  const int n = 6 + pick(9);
+  const bool two_d = pick(2) == 0;
+  std::ostringstream os;
+  os << "PROGRAM GZ\n      INTEGER N\n      PARAMETER (N = " << n << ")\n";
+  // Array-array terms only add or subtract (products would overflow
+  // within a dozen trips); scaling is by constants.
+  auto op = [&] { return std::string(pick(2) == 0 ? " + " : " - "); };
+  auto cst = [&] {
+    char buf[16];
+    std::snprintf(buf, sizeof buf, "%.2f", (pick(7) + 1) * 0.25);
+    return std::string(buf);
+  };
+  std::vector<std::string> body;
+  if (!two_d) {
+    os << "      REAL A(N)\n      REAL B(N)\n      REAL L(N)\n"
+       << "      REAL S\n      INTEGER IM\n      INTEGER K\n"
+       << "C$ PROCESSORS P(" << 1 + pick(4) << ")\n"
+       << "C$ TEMPLATE T(N)\n"
+       << "C$ DISTRIBUTE T(" << kDists[pick(5)] << ")\n"
+       << "C$ ALIGN A(I) WITH T(I)\nC$ ALIGN B(I) WITH T(I)\n";
+    const int ns = 1 + pick(3);
+    for (int k = 0; k < ns; ++k) {
+      const char* x = pick(2) == 0 ? "A" : "B";
+      const char* y = pick(2) == 0 ? "A" : "B";
+      switch (pick(4)) {
+        case 0: {  // shifted stencil over a K-dependent range
+          const int c = pick(5) - 2;
+          const int a = std::max(pick(3), -c);
+          const int b = std::max(pick(2), c);
+          std::ostringstream st;
+          st << "FORALL (I = K+" << a << ":N-" << b << ") " << x << "(I) = "
+             << y << "(I" << (c >= 0 ? "+" : "") << c << ")" << op() << y
+             << "(K+" << pick(2) << ")";
+          body.push_back(st.str());
+          break;
+        }
+        case 1:  // section reduction feeding the next statement
+          body.push_back(std::string("S = SUM(") + y + "(K:N))");
+          body.push_back(std::string("FORALL (I = K:N) ") + x + "(I) = " + x +
+                         "(I) * 0.5" + op() + "S * 0.125");
+          break;
+        case 2:  // pivot search with a runtime element subscript
+          body.push_back(std::string("IM = MAXLOC(ABS(") + y + "(K:N)))");
+          body.push_back(std::string("FORALL (I = K+1:N) ") + x + "(I) = " +
+                         x + "(I)" + op() + y + "(IM)");
+          break;
+        default:  // replicated-lhs multipliers (concatenation)
+          body.push_back(std::string("FORALL (I = K+1:N) L(I) = ") + y +
+                         "(I) / (ABS(" + y + "(K)) + 1.0)");
+          body.push_back(std::string("FORALL (I = K+1:N) ") + x + "(I) = " +
+                         x + "(I) - L(I) * " + cst());
+          break;
+      }
+    }
+  } else {
+    const char* d1 = pick(3) == 0 ? kDists[pick(5)] : "*";
+    const char* d2 = kDists[pick(5)];
+    const bool grid2 = d1[0] != '*';
+    const int p = 1 + pick(grid2 ? 2 : 4);
+    const int q = grid2 ? 1 + pick(2) : 1;
+    os << "      REAL A(N, N+1)\n      REAL B(N, N+1)\n      REAL L(N)\n"
+       << "      REAL TMPR(N+1)\n      INTEGER IM\n      INTEGER K\n";
+    if (grid2)
+      os << "C$ PROCESSORS P(" << p << ", " << q << ")\n";
+    else
+      os << "C$ PROCESSORS P(" << p << ")\n";
+    os << "C$ TEMPLATE TA(N, N+1)\n"
+       << "C$ DISTRIBUTE TA(" << d1 << ", " << d2 << ")\n"
+       << "C$ ALIGN A(I, J) WITH TA(I, J)\n"
+       << "C$ ALIGN B(I, J) WITH TA(I, J)\n";
+    if (!grid2) os << "C$ ALIGN TMPR(J) WITH TA(*, J)\n";
+    const int ns = 1 + pick(3);
+    for (int k = 0; k < ns; ++k) {
+      const char* x = pick(2) == 0 ? "A" : "B";
+      switch (pick(3)) {
+        case 0:  // pivot search and a guarded runtime-row swap
+          body.push_back("IM = MAXLOC(ABS(A(K:N, K)))");
+          body.push_back("IF (IM .NE. K) THEN");
+          body.push_back("  TMPR(K:N+1) = A(K, K:N+1)");
+          body.push_back("  A(K, K:N+1) = A(IM, K:N+1)");
+          body.push_back("  A(IM, K:N+1) = TMPR(K:N+1)");
+          body.push_back("END IF");
+          break;
+        case 1:  // multipliers then the rank-1 update
+          body.push_back("L(K+1:N) = A(K+1:N, K) / (ABS(A(K, K)) + 1.0)");
+          body.push_back(std::string("FORALL (I = K+1:N, J = K+") +
+                         std::to_string(pick(2)) + ":N+1) " + x + "(I, J) = " +
+                         x + "(I, J) - L(I) * A(K, J)");
+          break;
+        default: {  // a K-shifted block update
+          std::ostringstream st;
+          st << "FORALL (I = K+" << pick(2) << ":N, J = K:N+1) " << x
+             << "(I, J) = A(I, J)" << op() << "B(K, J) * " << cst();
+          body.push_back(st.str());
+          break;
+        }
+      }
+    }
+  }
+  os << "      DO K = 1, N-1\n";
+  for (const std::string& b : body) os << "        " << b << "\n";
+  os << "      END DO\n      END PROGRAM GZ\n";
+  return os.str();
+}
+
+struct PivotRun {
+  std::map<std::string, std::vector<double>> arrays;
+  double sim_time = 0;
+  int plan_hits = 0;
+  long long tree_stmts = 0;
+};
+
+PivotRun pivot_run(const std::string& src, const interp::RunOptions& ro) {
+  interp::Init init;
+  auto entry = [](std::span<const Index> g) {
+    const Index j = g.size() > 1 ? g[1] : 0;
+    return static_cast<double>(1 + (g[0] * 7 + j * 13) % 11) *
+           (1.0 + 0.25 * static_cast<double>(g[0]));
+  };
+  init.real["A"] = entry;
+  init.real["B"] = [entry](std::span<const Index> g) { return entry(g) * 0.5; };
+  auto r = harness::run_source(src, init, ro);
+  return PivotRun{r.real_arrays, r.machine.exec_time, r.plan_hits,
+                  r.tree_stmts};
+}
+
+/// Bitwise equality (NaN payloads included) of every gathered array.
+bool same_bits(const PivotRun& x, const PivotRun& y, std::string* why) {
+  if (x.arrays.size() != y.arrays.size()) {
+    *why = "array sets differ";
+    return false;
+  }
+  for (const auto& [name, xv] : x.arrays) {
+    const std::vector<double>& yv = y.arrays.at(name);
+    if (xv.size() != yv.size() ||
+        std::memcmp(xv.data(), yv.data(), xv.size() * sizeof(double)) != 0) {
+      *why = name + " differs";
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(FuzzDifferential, GaussShapedProgramsAgreeAcrossBackends) {
+  unsigned seed = 0x6A055;
+  if (const char* s = std::getenv("F90D_FUZZ_SEED"))
+    seed = static_cast<unsigned>(std::strtoul(s, nullptr, 0));
+  int count = 200;
+  if (const char* s = std::getenv("F90D_FUZZ_COUNT"))
+    count = std::atoi(s);
+
+  std::mt19937 rng(seed);
+  long long plan_hits = 0;
+  long long planned_programs = 0;
+  for (int k = 0; k < count; ++k) {
+    const std::string src = gen_pivot_prog(rng);
+    std::string why;
+    interp::RunOptions tro;
+    tro.exec_plans = false;
+    const PivotRun tree = pivot_run(src, tro);
+    const PivotRun plan = pivot_run(src, {});
+    ASSERT_FALSE(tree.arrays.empty());
+    plan_hits += plan.plan_hits;
+    planned_programs += plan.tree_stmts == 0 ? 1 : 0;
+    EXPECT_TRUE(same_bits(plan, tree, &why)) << "plan vs tree: " << why;
+    EXPECT_EQ(plan.sim_time, tree.sim_time);
+    if (k % 5 == 0) {
+      interp::RunOptions nro;
+      nro.native_backend = true;
+      const PivotRun native = pivot_run(src, nro);
+      EXPECT_TRUE(same_bits(native, tree, &why)) << "native vs tree: " << why;
+      EXPECT_EQ(native.sim_time, tree.sim_time);
+    }
+    if (::testing::Test::HasFailure()) {
+      ADD_FAILURE() << "first divergence at program " << k << " (seed "
+                    << seed << "):\n"
+                    << src;
+      break;
+    }
+  }
+  if (std::getenv("F90D_FUZZ_VERBOSE"))
+    std::printf("gauss-shaped leg: %lld plan hits, %lld of %d programs "
+                "fully planned\n",
+                plan_hits, planned_programs, count);
+  // The leg exercises rebinding: K-parametric plans hit across trips.
+  EXPECT_GT(plan_hits, count);
 }
 
 }  // namespace

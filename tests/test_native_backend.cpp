@@ -135,6 +135,25 @@ TEST(NativeBackend, KernelsActuallyExecute) {
   EXPECT_EQ(r.native_runs, r.plan_hits + r.plan_misses);
 }
 
+TEST(NativeBackend, LadderWorkloadsNeverReachTheTreeWalk) {
+  // Every FORALL and reduction of the Gauss and Jacobi ladders runs on a
+  // compiled rung (kernel or plan tape) on every processor — the rung
+  // histogram's tree-walk bucket stays empty.  The tree rung is the
+  // contrast: it walks every statement.
+  for (const int p : {1, 4, 16}) {
+    auto g = harness::run_gauss(32, p, "BLOCK", backend_native());
+    EXPECT_LE(harness::max_abs_diff(g, harness::gauss_defined_region(32)),
+              1e-6)
+        << "p=" << p;
+    EXPECT_EQ(g.tree_stmts, 0) << "gauss p=" << p;
+  }
+  auto j = harness::run_jacobi(32, 3, 4, 4, "BLOCK", backend_native());
+  EXPECT_LE(harness::max_abs_diff(j), 1e-9);
+  EXPECT_EQ(j.tree_stmts, 0);
+  auto tree = harness::run_jacobi(32, 3, 4, 4, "BLOCK", backend_tree());
+  EXPECT_EQ(tree.tree_stmts, 2 * 3 * 16);
+}
+
 TEST(NativeBackend, PlanBackendCollectsNoNativeStats) {
   auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", backend_plan());
   EXPECT_EQ(r.native_runs, 0);
