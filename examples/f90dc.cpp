@@ -253,6 +253,9 @@ int main(int argc, char** argv) {
         std::printf("  zero-copy    : %lld bytes on the memcpy fast path, "
                     "%lld pooled payload reuses\n",
                     r.comm_plan_fast_bytes, r.pool_reuses);
+        std::printf("  fibers       : %llu switches (event-backend "
+                    "resumes)\n",
+                    static_cast<unsigned long long>(r.machine.fiber_switches));
         if (backend == "native") {
           std::printf("\n=== native backend (rank 0 node + process JIT) ===\n");
           std::printf("  kernel runs  : %lld (%lld attached, %lld fallbacks, "

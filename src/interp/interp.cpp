@@ -163,20 +163,15 @@ class Node {
   void apply_init() {
     for (auto& [name, a] : env_.dar) {
       auto f = init_.real.find(name);
-      if (f != init_.real.end())
-        a.fill_global([&](std::span<const Index> g) { return f->second(g); });
+      if (f != init_.real.end()) a.fill_global(f->second);
     }
     for (auto& [name, a] : env_.iar) {
       auto f = init_.ints.find(name);
-      if (f != init_.ints.end())
-        a.fill_global([&](std::span<const Index> g) { return f->second(g); });
+      if (f != init_.ints.end()) a.fill_global(f->second);
     }
     for (auto& [name, a] : env_.lar) {
       auto f = init_.logical.find(name);
-      if (f != init_.logical.end())
-        a.fill_global([&](std::span<const Index> g) {
-          return static_cast<unsigned char>(f->second(g) ? 1 : 0);
-        });
+      if (f != init_.logical.end()) a.fill_global(f->second);  // bool -> 0/1
     }
     for (auto& [name, v] : env_.scalars) {
       const Symbol& s = env_.sym(name);

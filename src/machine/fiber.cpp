@@ -1,6 +1,17 @@
 #include "machine/fiber.hpp"
 
+#include <cstdint>
+#include <cstring>
+
 #include "support/diag.hpp"
+
+#if defined(F90D_FIBER_ASM_SWITCH)
+// fiber_switch.S
+extern "C" {
+void f90d_fiber_switch(void** save_sp, void* load_sp);
+void f90d_fiber_entry();
+}
+#endif
 
 // --- sanitizer fiber-switch annotations --------------------------------------
 // Declared by hand so the build does not depend on the sanitizer headers
@@ -42,10 +53,19 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 namespace f90d::machine {
 
 namespace {
-// Carries `this` into the makecontext trampoline (which cannot portably
-// take a pointer argument).  Set immediately before the first resume of a
-// fiber; read exactly once at trampoline entry on the same OS thread.
+// Carries `this` into the trampoline (the entry function takes no
+// arguments).  Set immediately before the first resume of a fiber; read
+// exactly once at trampoline entry on the same OS thread.
 thread_local Fiber* g_entering = nullptr;
+
+// Save the running context to `from` and continue in `to`.
+#if defined(F90D_FIBER_ASM_SWITCH)
+void switch_context(void*& from, void* to) { f90d_fiber_switch(&from, to); }
+#else
+void switch_context(ucontext_t& from, ucontext_t& to) {
+  swapcontext(&from, &to);
+}
+#endif
 }  // namespace
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body)
@@ -53,11 +73,32 @@ Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body)
       stack_(new char[stack_bytes]),
       stack_bytes_(stack_bytes) {
   require(stack_bytes >= 64 * 1024, "fiber stack is at least 64 KiB");
+#if defined(F90D_FIBER_ASM_SWITCH)
+  // The first frame f90d_fiber_switch restores (layout in fiber_switch.S):
+  // the creating thread's control words, as getcontext would capture them,
+  // the entry function in rbx, and f90d_fiber_entry as the return address
+  // just below the 16-byte aligned stack top.
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87cw = 0;
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(x87cw));
+  const std::uint64_t frame[8] = {
+      mxcsr | std::uint64_t{x87cw} << 32,                    // control words
+      0, 0, 0, 0,                                            // r15 .. r12
+      reinterpret_cast<std::uint64_t>(&Fiber::trampoline),  // rbx
+      0,                                                     // rbp
+      reinterpret_cast<std::uint64_t>(&f90d_fiber_entry)};  // return address
+  const auto top = (reinterpret_cast<std::uintptr_t>(stack_.get()) +
+                    stack_bytes_) & ~std::uintptr_t{15};
+  char* sp = reinterpret_cast<char*>(top) - sizeof frame;
+  std::memcpy(sp, frame, sizeof frame);
+  ctx_ = sp;
+#else
   require(getcontext(&ctx_) == 0, "getcontext succeeds");
   ctx_.uc_stack.ss_sp = stack_.get();
   ctx_.uc_stack.ss_size = stack_bytes_;
   ctx_.uc_link = nullptr;  // final switch-out is explicit in trampoline()
   makecontext(&ctx_, &Fiber::trampoline, 0);
+#endif
 #if defined(F90D_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -80,7 +121,7 @@ void Fiber::resume() {
   __sanitizer_start_switch_fiber(&caller_fake_stack_, stack_.get(),
                                  stack_bytes_);
 #endif
-  swapcontext(&caller_, &ctx_);
+  switch_context(caller_, ctx_);
   // Back in the caller: the fiber either yielded or exited for good.
 #if defined(F90D_ASAN)
   __sanitizer_finish_switch_fiber(caller_fake_stack_, nullptr, nullptr);
@@ -105,7 +146,7 @@ void Fiber::switch_out(bool final_exit) {
 #else
   (void)final_exit;
 #endif
-  swapcontext(&ctx_, &caller_);
+  switch_context(ctx_, caller_);
   enter_fiber();
 }
 

@@ -1,8 +1,8 @@
 #pragma once
-// A cooperatively scheduled stackful fiber (ucontext-based) — the execution
-// vehicle of the event-driven SimMachine backend.  Each simulated processor
-// runs its node program on one of these; a blocking receive yields back to
-// the scheduler instead of parking an OS thread.
+// A cooperatively scheduled stackful fiber — the execution vehicle of the
+// event-driven SimMachine backend.  Each simulated processor runs its node
+// program on one of these; a blocking receive yields back to the scheduler
+// instead of parking an OS thread.
 //
 // Usage contract (enforced by the scheduler, not checked here):
 //   * resume() is called from the scheduler context only;
@@ -15,7 +15,15 @@
 // The implementation carries the sanitizer fiber-switching annotations
 // (__sanitizer_*_switch_fiber for ASan, __tsan_*_fiber for TSan) so the
 // event backend stays clean under -fsanitize=address and -fsanitize=thread.
+//
+// On x86-64 ELF targets a switch is the hand-written user-space stack switch
+// in fiber_switch.S (callee-saved registers plus the MXCSR and x87 control
+// words, no system call); every other ISA uses ucontext's swapcontext.
+#if defined(__x86_64__) && defined(__ELF__)
+#define F90D_FIBER_ASM_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -53,8 +61,13 @@ class Fiber {
   std::function<void()> body_;
   std::unique_ptr<char[]> stack_;
   std::size_t stack_bytes_;
-  ucontext_t ctx_{};
-  ucontext_t caller_{};
+#if defined(F90D_FIBER_ASM_SWITCH)
+  using Context = void*;  // saved stack pointer (fiber_switch.S frame)
+#else
+  using Context = ucontext_t;
+#endif
+  Context ctx_{};     // the fiber, while it is switched out
+  Context caller_{};  // the resumer, while the fiber runs
   bool finished_ = false;
 
   // Sanitizer fiber bookkeeping (unused members when not sanitizing).

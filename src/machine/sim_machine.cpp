@@ -184,6 +184,7 @@ class SimMachine::EventLoop {
       }
       Task& t = tasks_[static_cast<std::size_t>(r)];
       t.state = Task::State::kRunning;
+      ++resumes_;
       t.fiber.resume();
       if (t.fiber.finished()) {
         t.state = Task::State::kDone;
@@ -202,6 +203,7 @@ class SimMachine::EventLoop {
     if (first_error_) std::rethrow_exception(first_error_);
 
     RunResult result;
+    result.fiber_switches = resumes_;
     result.proc_times.reserve(procs_.size());
     result.stats.reserve(procs_.size());
     for (const Proc& p : procs_) {
@@ -345,6 +347,7 @@ class SimMachine::EventLoop {
   std::vector<std::pair<double, int>> ready_;  ///< min-heap, lazy deletion
   std::exception_ptr first_error_;
   int done_ = 0;
+  std::uint64_t resumes_ = 0;
 };
 
 RunResult SimMachine::run_event(const NodeProgram& program) {
@@ -552,8 +555,35 @@ SimMachine::SimMachine(int nprocs, const CostModel& cost,
 RunResult SimMachine::run(const NodeProgram& program) {
   require(event_ == nullptr && threaded_ == nullptr,
           "SimMachine::run is not reentrant");
-  return options_.backend == Backend::kEvent ? run_event(program)
-                                             : run_threaded(program);
+  RunResult result = options_.backend == Backend::kEvent
+                         ? run_event(program)
+                         : run_threaded(program);
+  check_drained(result);
+  return result;
+}
+
+void SimMachine::check_drained(const RunResult& result) {
+  bool queued = false;
+  for (int r = 0; r < nprocs_; ++r) queued = queued || mailbox(r).size() > 0;
+  std::uint64_t received = 0;
+  for (const ProcStats& s : result.stats) received += s.messages_received;
+  const std::uint64_t sent = result.total_messages();
+  if (!queued && sent == received) return;
+  std::string report = strformat(
+      "unreceived messages at the end of the run: %llu sent, %llu received",
+      static_cast<unsigned long long>(sent),
+      static_cast<unsigned long long>(received));
+  for (int r = 0; r < nprocs_; ++r) {
+    const ProcStats& s = result.stats[static_cast<std::size_t>(r)];
+    report += strformat("\n  rank %d: sent %llu, received %llu, %zu queued",
+                        r, static_cast<unsigned long long>(s.messages_sent),
+                        static_cast<unsigned long long>(s.messages_received),
+                        mailbox(r).size());
+    if (const Message* m = mailbox(r).peek_match(kAnySource, kAnyTag))
+      report += strformat(" (earliest: src=%d, tag=%d, %zu bytes)", m->src,
+                          m->tag, m->bytes());
+  }
+  throw Error(report);
 }
 
 void SimMachine::deliver(int dest, Message m) {

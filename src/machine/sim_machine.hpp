@@ -30,7 +30,11 @@
 // forever, and run() rethrows the first error.  When every live processor
 // is blocked in recv with no matching message (a communication deadlock,
 // e.g. mismatched tags), run() fails with a DeadlockError carrying a
-// per-processor wait-state report.
+// per-processor wait-state report.  A run whose node programs all
+// return must also leave the machine drained: every mailbox empty and
+// total messages sent equal to total received.  run() checks both and
+// fails with an Error carrying a per-processor traffic report otherwise
+// (an unmatched send is a program bug the simulated times would hide).
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -206,6 +210,10 @@ struct RunResult {
   double exec_time = 0.0;              ///< max final clock over processors
   std::vector<double> proc_times;      ///< final clock per processor
   std::vector<ProcStats> stats;        ///< per-processor traffic stats
+  /// Fiber resumes the event backend's scheduler made (one per time a
+  /// processor was started or continued); 0 on the threaded backend.  A
+  /// pure function of the program and the scheduling order.
+  std::uint64_t fiber_switches = 0;
 
   [[nodiscard]] std::uint64_t total_messages() const;
   [[nodiscard]] std::uint64_t total_bytes() const;
@@ -251,7 +259,8 @@ class SimMachine {
   /// Run `program` on every processor and return the virtual-time result.
   /// The first exception thrown by any node program is re-thrown here after
   /// every processor has unwound; a communication deadlock raises
-  /// DeadlockError.
+  /// DeadlockError, and a run that leaves a message unreceived raises
+  /// Error.
   RunResult run(const NodeProgram& program);
 
  private:
@@ -267,6 +276,7 @@ class SimMachine {
 
   RunResult run_event(const NodeProgram& program);
   RunResult run_threaded(const NodeProgram& program);
+  void check_drained(const RunResult& result);
 
   int nprocs_;
   CostModel cost_;

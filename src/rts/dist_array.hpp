@@ -4,8 +4,10 @@
 // each processor allocates only its local chunk (plus overlap/ghost areas,
 // ref. [16] in the paper) and addresses it through the DAD's global<->local
 // index algebra.
-#include <functional>
+#include <algorithm>
+#include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/grid_comm.hpp"
@@ -125,35 +127,41 @@ class DistArray {
     return g;
   }
 
-  /// Visit every owned element: f(global_indices, element_ref).  The global
-  /// index vector is recomputed in place per element — no per-element heap
-  /// allocation (fill_global/gather_global walk every owned element of
-  /// every array on every run, so this is a measurable slice of host wall).
+  /// Visit every owned element in owned-local row-major order:
+  /// f(global_indices, element_ref).  The walk goes row by row (a row is
+  /// the innermost dimension): each dimension's global indices are looked
+  /// up once per walk, the allocation range is checked once per row, and
+  /// the innermost loop only steps a pointer and one table entry.
   template <typename F>
   void for_each_owned(F&& f) {
     const int r = rank();
-    std::vector<Index> l(static_cast<size_t>(r), 0);
-    std::vector<Index> g(static_cast<size_t>(r));
-    std::vector<int> coords(static_cast<size_t>(r));
-    for (int d = 0; d < r; ++d) coords[static_cast<size_t>(d)] = coord_along(d);
     if (local_size() == 0) return;
-    for (;;) {
-      for (int d = 0; d < r; ++d)
-        g[static_cast<size_t>(d)] = dad_.global_of_local(
-            d, l[static_cast<size_t>(d)], coords[static_cast<size_t>(d)]);
-      f(g, at_local(l));
-      int d = r - 1;
-      for (; d >= 0; --d) {
-        if (++l[static_cast<size_t>(d)] < lext_[static_cast<size_t>(d)]) break;
-        l[static_cast<size_t>(d)] = 0;
-      }
-      if (d < 0) break;
+    std::vector<Index> g(static_cast<size_t>(r));
+    if (r == 0) {
+      f(g, data_[0]);
+      return;
     }
+    const auto tab = global_tables(dim_coords(coords_), lext_);
+    const std::vector<Index>& inner = tab[static_cast<size_t>(r - 1)];
+    for_each_row(lext_, [&](const std::vector<Index>& l) {
+      for (size_t d = 0; d + 1 < g.size(); ++d)
+        g[d] = tab[d][static_cast<size_t>(l[d])];
+      T* row = &at_local(l);
+      for (size_t j = 0; j < inner.size(); ++j) {
+        g[static_cast<size_t>(r - 1)] = inner[j];
+        f(g, row[j]);
+      }
+    });
   }
 
-  /// Initialize owned elements from a function of the global indices.
-  void fill_global(const std::function<T(std::span<const Index>)>& f) {
-    for_each_owned([&](const std::vector<Index>& g, T& v) { v = f(g); });
+  /// Initialize owned elements from a function of the global indices: any
+  /// callable taking std::span<const Index> whose result converts to T
+  /// (called directly, never re-wrapped in a std::function).
+  template <typename F>
+  void fill_global(F&& f) {
+    for_each_owned([&](const std::vector<Index>& g, T& v) {
+      v = static_cast<T>(f(std::span<const Index>(g)));
+    });
   }
 
   /// Number of owned elements on this processor.
@@ -190,22 +198,16 @@ class DistArray {
   /// and the root reconstructs each sender's global indices from the DAD.
   /// Collective: every processor must call it at the same program point.
   [[nodiscard]] std::vector<T> gather_global_root(comm::GridComm& gc) {
-    const int r = rank();
     std::vector<T> mine;
     mine.reserve(static_cast<size_t>(local_size()));
     if (local_size() > 0) {
-      // Pack owned values only; the sender never needs global indices.
-      std::vector<Index> l(static_cast<size_t>(r), 0);
-      for (;;) {
-        mine.push_back(at_local(l));
-        int d = r - 1;
-        for (; d >= 0; --d) {
-          if (++l[static_cast<size_t>(d)] < lext_[static_cast<size_t>(d)])
-            break;
-          l[static_cast<size_t>(d)] = 0;
-        }
-        if (d < 0) break;
-      }
+      // Pack owned values a whole row at a time; the sender never needs
+      // global indices.
+      const size_t n = rank() == 0 ? 1 : static_cast<size_t>(lext_.back());
+      for_each_row(lext_, [&](const std::vector<Index>& l) {
+        const T* row = &at_local(l);
+        mine.insert(mine.end(), row, row + n);
+      });
     }
     std::vector<T> out;
     if (gc.my_logical() == 0)
@@ -230,19 +232,15 @@ class DistArray {
   /// order, as packed by gather_global_root) into the full global array.
   /// `gcoords` are that processor's grid coordinates; its local extents and
   /// global indices are recomputed here from the DAD alone, mirroring the
-  /// sender's for_each_owned walk order.
+  /// sender's walk order.  Each row is copied as runs of consecutive
+  /// global indices (a whole row for BLOCK, k elements for CYCLIC(k)).
   void place_block(const std::vector<int>& gcoords, std::span<const T> blk,
                    std::vector<T>& out) const {
     const int r = rank();
-    std::vector<int> coords(static_cast<size_t>(r));
+    const std::vector<int> coords = dim_coords(gcoords);
     std::vector<Index> ext(static_cast<size_t>(r));
     Index total = 1;
     for (int d = 0; d < r; ++d) {
-      const DimMap& m = dad_.dim(d);
-      coords[static_cast<size_t>(d)] =
-          m.kind == DistKind::kCollapsed
-              ? 0
-              : gcoords[static_cast<size_t>(m.grid_dim)];
       ext[static_cast<size_t>(d)] =
           dad_.local_extent(d, coords[static_cast<size_t>(d)]);
       total *= ext[static_cast<size_t>(d)];
@@ -250,15 +248,74 @@ class DistArray {
     require(static_cast<Index>(blk.size()) == total,
             "gathered block matches the sender's owned extent");
     if (total == 0) return;
-    std::vector<Index> l(static_cast<size_t>(r), 0);
-    for (size_t i = 0;; ++i) {
-      Index flat = 0;
-      for (int d = 0; d < r; ++d)
-        flat = flat * dad_.extent(d) +
-               dad_.global_of_local(d, l[static_cast<size_t>(d)],
+    if (r == 0) {
+      out[0] = blk[0];
+      return;
+    }
+    const auto tab = global_tables(coords, ext);
+    // Global row-major strides, and the innermost row cut into runs of
+    // consecutive global indices: (first local index, length).
+    std::vector<Index> gstride(static_cast<size_t>(r), 1);
+    for (int d = r - 2; d >= 0; --d)
+      gstride[static_cast<size_t>(d)] =
+          gstride[static_cast<size_t>(d + 1)] * dad_.extent(d + 1);
+    const std::vector<Index>& inner = tab[static_cast<size_t>(r - 1)];
+    std::vector<std::pair<size_t, size_t>> runs;
+    for (size_t j = 0; j < inner.size(); ++j) {
+      if (j > 0 && inner[j] == inner[j - 1] + 1)
+        ++runs.back().second;
+      else
+        runs.emplace_back(j, 1);
+    }
+    const T* src = blk.data();
+    for_each_row(ext, [&](const std::vector<Index>& l) {
+      Index base = 0;
+      for (size_t d = 0; d + 1 < tab.size(); ++d)
+        base += tab[d][static_cast<size_t>(l[d])] * gstride[d];
+      for (const auto& [j, len] : runs)
+        std::copy_n(src + j, len,
+                    out.begin() + static_cast<std::ptrdiff_t>(base + inner[j]));
+      src += inner.size();
+    });
+  }
+
+  /// Grid coordinate along each array dimension (0 for collapsed ones) of
+  /// the processor at grid coordinates `gcoords`.
+  [[nodiscard]] std::vector<int> dim_coords(
+      const std::vector<int>& gcoords) const {
+    std::vector<int> c(static_cast<size_t>(rank()), 0);
+    for (int d = 0; d < rank(); ++d)
+      if (dad_.dim(d).kind != DistKind::kCollapsed)
+        c[static_cast<size_t>(d)] =
+            gcoords[static_cast<size_t>(dad_.dim(d).grid_dim)];
+    return c;
+  }
+
+  /// Per-dimension global index tables of the processor at per-dimension
+  /// coordinates `coords` owning extents `ext`:
+  /// tab[d][l] == dad.global_of_local(d, l, coords[d]).
+  [[nodiscard]] std::vector<std::vector<Index>> global_tables(
+      std::span<const int> coords, std::span<const Index> ext) const {
+    std::vector<std::vector<Index>> tab(static_cast<size_t>(rank()));
+    for (int d = 0; d < rank(); ++d) {
+      std::vector<Index>& t = tab[static_cast<size_t>(d)];
+      t.resize(static_cast<size_t>(ext[static_cast<size_t>(d)]));
+      for (size_t l = 0; l < t.size(); ++l)
+        t[l] = dad_.global_of_local(d, static_cast<Index>(l),
                                     coords[static_cast<size_t>(d)]);
-      out[static_cast<size_t>(flat)] = blk[i];
-      int d = r - 1;
+    }
+    return tab;
+  }
+
+  /// Visit the rows of the row-major index space `ext` (every extent > 0)
+  /// in order: row(l) with l[rank-1] == 0 (one call for rank 0).
+  template <typename Fn>
+  static void for_each_row(std::span<const Index> ext, Fn&& row) {
+    const int r = static_cast<int>(ext.size());
+    std::vector<Index> l(ext.size(), 0);
+    for (;;) {
+      row(l);
+      int d = r - 2;
       for (; d >= 0; --d) {
         if (++l[static_cast<size_t>(d)] < ext[static_cast<size_t>(d)]) break;
         l[static_cast<size_t>(d)] = 0;

@@ -8,6 +8,7 @@
 //  - 32x32 and 1024-processor machines are cheap enough for routine tests.
 #include <gtest/gtest.h>
 
+#include <cfenv>
 #include <chrono>
 #include <span>
 #include <thread>
@@ -181,6 +182,50 @@ TEST_P(Backends, ProbeSeesQueuedMessagesUnderTheMatchingRule) {
   });
 }
 
+TEST_P(Backends, UnmatchedSendFailsTheRunWithATrafficReport) {
+  // Rank 0 sends a message nobody receives; both programs return normally.
+  // The simulated times would silently hide that bug, so run() must fail
+  // the end-of-run drain check with a per-processor report.
+  SimMachine m(3, CostModel::ipsc860(), machine::make_hypercube(),
+               opts(GetParam()));
+  try {
+    m.run([&](Proc& p) {
+      if (p.rank() == 0) {
+        p.send_value<int>(2, 6, 1);
+        p.send_value<int>(1, 7, 2);
+      }
+      if (p.rank() == 1) (void)p.recv_value<int>(0, 7);
+    });
+    FAIL() << "expected the unreceived message to fail the run";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2 sent, 1 received"), std::string::npos) << what;
+    EXPECT_NE(what.find("rank 0: sent 2, received 0, 0 queued"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("rank 2: sent 0, received 0, 1 queued (earliest: "
+                        "src=0, tag=6, 4 bytes)"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST_P(Backends, FiberSwitchesCountEventBackendResumesOnly) {
+  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(),
+               opts(GetParam()));
+  auto r = m.run([&](Proc& p) {
+    p.send_value<int>(1 - p.rank(), 1, p.rank());
+    (void)p.recv_value<int>(1 - p.rank(), 1);
+  });
+  if (GetParam() == Backend::kThreaded) {
+    EXPECT_EQ(r.fiber_switches, 0u);
+  } else {
+    // Rank 0 starts, sends and blocks; rank 1 starts, sends, takes its
+    // message and finishes; rank 0 resumes to take its message.
+    EXPECT_EQ(r.fiber_switches, 3u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, Backends,
                          ::testing::Values(Backend::kEvent,
                                            Backend::kThreaded),
@@ -221,6 +266,156 @@ TEST(EventSched, RepeatRunsAreBitIdentical) {
   const auto b = once();
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
+}
+
+TEST(EventSched, FiberSwitchesPinnedOnNativeGauss256P16) {
+  // The scheduling order is a pure function of virtual time: Gauss 256 on
+  // 16 processors (native rung; the plan interpreter it falls back to
+  // without a toolchain schedules identically) makes exactly this many
+  // fiber resumes, as it did under the ucontext switch.
+  auto compiled =
+      compile::compile_source(apps::gauss_source(256, 16, "BLOCK"));
+  SimMachine m = ipsc_machine(16, Backend::kEvent);
+  interp::Init init;
+  init.real["A"] = [](std::span<const interp::Index> g) {
+    return apps::gauss_matrix_entry(256, g[0], g[1]);
+  };
+  interp::RunOptions ro;
+  ro.native_backend = true;
+  auto r = interp::run_compiled(compiled, m, init, ro);
+  EXPECT_EQ(r.machine.fiber_switches, 14345u);
+  EXPECT_EQ(r.machine.total_messages(), 15300u);
+  EXPECT_NEAR(r.machine.exec_time, 2.10381376, 1e-8);
+}
+
+// --- fiber contract ----------------------------------------------------------
+
+TEST(FiberContract, ThrowAfterManyYieldsPoisonsUnwindsAndRethrows) {
+  // Every rank ping-pongs with its partner for many rounds (hundreds of
+  // switches per fiber), then rank 0 throws while the others are blocked
+  // in recv.  The error must reach run(), and every fiber stack must have
+  // unwound (the guard destructors ran) before run() returns.
+  constexpr int kProcs = 4;
+  constexpr int kRounds = 500;
+  int unwound = 0;
+  struct Guard {
+    int* count;
+    ~Guard() { ++*count; }
+  };
+  SimMachine m(kProcs, CostModel::ipsc860(), machine::make_hypercube(),
+               opts(Backend::kEvent));
+  try {
+    m.run([&](Proc& p) {
+      Guard guard{&unwound};
+      const int peer = p.rank() ^ 1;
+      for (int i = 0; i < kRounds; ++i) {
+        p.send_value<int>(peer, 1, i);
+        EXPECT_EQ(p.recv_value<int>(peer, 1), i);
+      }
+      if (p.rank() == 0) throw RtsError("boom after many yields");
+      (void)p.recv(machine::kAnySource, 2);  // never satisfied
+    });
+    FAIL() << "expected the rank-0 error to propagate";
+  } catch (const RtsError& e) {
+    EXPECT_NE(std::string(e.what()).find("boom after many yields"),
+              std::string::npos);
+  }
+  EXPECT_EQ(unwound, kProcs);
+}
+
+TEST(FiberContract, PingPongOn4096ProcessorsCompletes) {
+  constexpr int kProcs = 4096;
+  MachineOptions mo = opts(Backend::kEvent);
+  mo.fiber_stack_bytes = 64 * 1024;
+  SimMachine m(kProcs, CostModel::ipsc860(), machine::make_hypercube(), mo);
+  auto r = m.run([&](Proc& p) {
+    const int peer = p.rank() ^ 1;
+    for (int i = 0; i < 3; ++i) {
+      p.send_value<int>(peer, 1, p.rank() + i);
+      EXPECT_EQ(p.recv_value<int>(peer, 1), peer + i);
+    }
+  });
+  EXPECT_EQ(r.total_messages(), 3u * kProcs);
+  EXPECT_GE(r.fiber_switches, static_cast<std::uint64_t>(kProcs));
+}
+
+/// One 1 KiB frame per level; the buffer is volatile and feeds the result
+/// so neither the frames nor the recursion can be optimized away.  At the
+/// deepest level the fiber exchanges a message (a switch out and back in
+/// with the stack nearly full) and reports how deep the stack went.
+[[gnu::noinline]] long deep_exchange(Proc& p, int depth, const char* top,
+                                     std::size_t& used) {
+  volatile char buf[1024];
+  buf[0] = static_cast<char>(depth);
+  buf[sizeof buf - 1] = static_cast<char>(depth + 1);
+  long sum = 0;
+  if (depth == 0) {
+    used = static_cast<std::size_t>(top - const_cast<const char*>(&buf[0]));
+    p.send_value<int>(1 - p.rank(), 3, p.rank());
+    sum = p.recv_value<int>(1 - p.rank(), 3);
+  } else {
+    sum = deep_exchange(p, depth - 1, top, used);
+  }
+  return sum + buf[0] + buf[sizeof buf - 1];
+}
+
+TEST(FiberContract, RecursionUsingMostOfA64KiBStackCompletes) {
+  // Sanitizers pad every frame with redzones, so they recurse less deeply.
+  const int depth = kSanitized ? 24 : 44;
+  MachineOptions mo = opts(Backend::kEvent);
+  mo.fiber_stack_bytes = 64 * 1024;
+  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(), mo);
+  std::size_t used[2] = {0, 0};
+  long sums[2] = {0, 0};
+  m.run([&](Proc& p) {
+    const char top = 0;
+    sums[p.rank()] = deep_exchange(p, depth, &top, used[p.rank()]);
+  });
+  // Levels contribute buf[0] + buf[1023] = 2*depth + 1 each.
+  const long levels = (depth + 1L) * (depth + 1L);
+  EXPECT_EQ(sums[0], 1 + levels);
+  EXPECT_EQ(sums[1], 0 + levels);
+  if (!kSanitized) {
+    EXPECT_GT(used[0], 40u * 1024) << "recursion did not fill the stack";
+    EXPECT_GT(used[1], 40u * 1024);
+  }
+}
+
+TEST(FiberContract, RoundingModeDoesNotLeakBetweenFibers) {
+  // Rank 0 rounds upward, rank 1 downward, and each blocks in recv (a
+  // switch) while its mode is set.  Each fiber must keep its own x87
+  // control word (fegetround) and MXCSR (an SSE division) across switches,
+  // and start with the mode of the thread that created it.
+  volatile double one = 1.0;
+  const double divisor[2] = {3.0, 10.0};  // 1/3 rounds down to nearest,
+                                          // 1/10 rounds up to nearest
+  fesetround(FE_TONEAREST);
+  double nearest[2];
+  for (int r = 0; r < 2; ++r) nearest[r] = one / divisor[r];
+  SimMachine m(2, CostModel::ipsc860(), machine::make_hypercube(),
+               opts(Backend::kEvent));
+  int seen[2] = {-1, -1};
+  double quotient[2] = {0.0, 0.0};
+  m.run([&](Proc& p) {
+    const int r = p.rank();
+    seen[r] = fegetround();
+    fesetround(r == 0 ? FE_UPWARD : FE_DOWNWARD);
+    if (r == 0) {
+      (void)p.recv_value<int>(1, 4);  // rank 1 runs in between
+      p.send_value<int>(1, 5, 0);
+    } else {
+      p.send_value<int>(0, 4, 0);
+      (void)p.recv_value<int>(0, 5);  // rank 0 runs in between
+    }
+    EXPECT_EQ(fegetround(), r == 0 ? FE_UPWARD : FE_DOWNWARD) << "rank " << r;
+    quotient[r] = one / divisor[r];
+    fesetround(FE_TONEAREST);
+  });
+  EXPECT_EQ(seen[0], FE_TONEAREST);
+  EXPECT_EQ(seen[1], FE_TONEAREST) << "rank 0's upward mode leaked";
+  EXPECT_GT(quotient[0], nearest[0]);
+  EXPECT_LT(quotient[1], nearest[1]);
+  EXPECT_EQ(fegetround(), FE_TONEAREST);
 }
 
 // --- threaded watchdog -------------------------------------------------------

@@ -4,6 +4,11 @@
 // remap-based redistribution round trips.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "comm/grid_comm.hpp"
 #include "harness.hpp"
 #include "machine/topology.hpp"
@@ -574,6 +579,152 @@ TEST(GatherGlobalRoot, TwoDimensionalBlocks) {
     }
   });
 }
+
+// --- the array boundary: run-wise fill and gather ----------------------------
+//
+// fill_global and gather_global_root walk owned elements row by row through
+// per-dimension global-index tables, and place_block copies runs of
+// consecutive global indices.  Every mapping shape that changes those
+// tables or runs gets a case: each element must land at its own global
+// position, and fill_global must store exactly what a per-element at_global
+// loop stores.
+
+DimMap dim_map(DistKind kind, int grid_dim, Index template_extent,
+               Index stride = 1, Index offset = 0, Index block = 1,
+               int overlap_lo = 0, int overlap_hi = 0) {
+  DimMap m;
+  m.kind = kind;
+  m.grid_dim = kind == DistKind::kCollapsed ? -1 : grid_dim;
+  m.template_extent = template_extent;
+  m.align_stride = stride;
+  m.align_offset = offset;
+  m.block = block;
+  m.overlap_lo = overlap_lo;
+  m.overlap_hi = overlap_hi;
+  return m;
+}
+
+struct BoundaryCase {
+  std::string name;
+  std::vector<int> grid;
+  std::function<Dad(const comm::ProcGrid&)> dad;
+};
+
+std::vector<BoundaryCase> boundary_cases() {
+  return {
+      {"indirect", {4},
+       [](const comm::ProcGrid& g) {
+         const Index n = 11;
+         std::vector<int> owners;
+         for (Index t = 0; t < n; ++t)
+           owners.push_back(static_cast<int>((t * 7 + 3) % 4));
+         DimMap m = dim_map(DistKind::kIndirect, 0, n);
+         m.map_name = "MAP";
+         m.table = rts::IndirectTable::build(std::move(owners), 4, "MAP");
+         return Dad({n}, {m}, g);
+       }},
+      {"align_stride_2", {4},
+       [](const comm::ProcGrid& g) {
+         return Dad({9}, {dim_map(DistKind::kBlock, 0, 19, 2, 1)}, g);
+       }},
+      {"align_stride_minus_1_offset", {3},
+       [](const comm::ProcGrid& g) {
+         return Dad({13}, {dim_map(DistKind::kBlock, 0, 16, -1, 15)}, g);
+       }},
+      {"collapsed_dim", {3},
+       [](const comm::ProcGrid& g) {
+         return Dad({5, 4},
+                    {dim_map(DistKind::kBlock, 0, 5),
+                     dim_map(DistKind::kCollapsed, -1, 4)},
+                    g);
+       }},
+      {"overlap_widths", {2, 2},
+       [](const comm::ProcGrid& g) {
+         return Dad({7, 6},
+                    {dim_map(DistKind::kBlock, 0, 7, 1, 0, 1, 1, 2),
+                     dim_map(DistKind::kBlock, 1, 6, 1, 0, 1, 2, 1)},
+                    g);
+       }},
+      {"more_procs_than_elements", {8},
+       [](const comm::ProcGrid& g) {
+         return Dad({5}, {dim_map(DistKind::kCyclic, 0, 5, 1, 0, 2)}, g);
+       }},
+      {"rank_3", {2, 3},
+       [](const comm::ProcGrid& g) {
+         return Dad({4, 5, 9},
+                    {dim_map(DistKind::kBlock, 0, 4),
+                     dim_map(DistKind::kCollapsed, -1, 5),
+                     dim_map(DistKind::kCyclic, 1, 9, 1, 0, 2)},
+                    g);
+       }},
+  };
+}
+
+void PrintTo(const BoundaryCase& c, std::ostream* os) { *os << c.name; }
+
+/// A distinct value for every global element: its row-major position.
+double boundary_value(const Dad& dad, std::span<const Index> g) {
+  Index flat = 0;
+  for (int d = 0; d < dad.rank(); ++d)
+    flat = flat * dad.extent(d) + g[static_cast<size_t>(d)];
+  return 0.5 + static_cast<double>(flat);
+}
+
+/// Run `body(gc, dad)` on every processor of the case's grid.
+template <typename F>
+void on_case_grid(const BoundaryCase& c, F&& body) {
+  const comm::ProcGrid grid(c.grid);
+  SimMachine m(grid.size(), CostModel::ipsc860(), machine::make_hypercube());
+  m.run([&](machine::Proc& proc) {
+    comm::GridComm gc(proc, grid);
+    body(gc, c.dad(gc.grid()));
+  });
+}
+
+class GatherGlobalRootCases : public ::testing::TestWithParam<BoundaryCase> {};
+
+TEST_P(GatherGlobalRootCases, PlacesEveryElementAtItsGlobalPosition) {
+  on_case_grid(GetParam(), [](comm::GridComm& gc, const Dad& dad) {
+    DistArray<double> a(dad, gc);
+    a.fill_global(
+        [&](std::span<const Index> g) { return boundary_value(dad, g); });
+    const std::vector<double> root = a.gather_global_root(gc);
+    if (gc.my_logical() != 0) {
+      EXPECT_TRUE(root.empty());
+      return;
+    }
+    ASSERT_EQ(static_cast<Index>(root.size()), dad.global_size());
+    for (size_t i = 0; i < root.size(); ++i)
+      EXPECT_EQ(root[i], 0.5 + static_cast<double>(i)) << "element " << i;
+  });
+}
+
+TEST_P(GatherGlobalRootCases, FillGlobalMatchesPerElementAtGlobal) {
+  on_case_grid(GetParam(), [](comm::GridComm& gc, const Dad& dad) {
+    DistArray<double> a(dad, gc);
+    a.fill_global(
+        [&](std::span<const Index> g) { return boundary_value(dad, g); });
+    // Reference: visit the whole global index space and write each owned
+    // element through at_global.  Ghost cells stay zero on both sides.
+    DistArray<double> ref(dad, gc);
+    std::vector<Index> g(static_cast<size_t>(dad.rank()), 0);
+    for (Index k = 0; k < dad.global_size(); ++k) {
+      Index rest = k;
+      for (int d = dad.rank() - 1; d >= 0; --d) {
+        g[static_cast<size_t>(d)] = rest % dad.extent(d);
+        rest /= dad.extent(d);
+      }
+      if (ref.owns_global(g)) ref.at_global(g) = boundary_value(dad, g);
+    }
+    EXPECT_EQ(a.storage(), ref.storage()) << "rank " << gc.my_logical();
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundary, GatherGlobalRootCases, ::testing::ValuesIn(boundary_cases()),
+    [](const ::testing::TestParamInfo<BoundaryCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace f90d
