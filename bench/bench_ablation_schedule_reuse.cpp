@@ -55,7 +55,11 @@ BENCHMARK(BM_IrregularScheduleReuse)->Arg(0)->Arg(1)->Iterations(1);
 // mesh edge sweep, particle binning), each with the schedule cache on and
 // off: the reuse win is the inspector's fan-in communication and schedule
 // construction amortized across the time loop.  Swept on BLOCK and
-// INDIRECT(MAP); counters expose the PARTI traffic either way.
+// INDIRECT(MAP); counters expose the PARTI traffic either way.  The last
+// argument is the execution rung (bench::kExecPlan tapes or
+// bench::kNative kernels for the executor, scatter and needs
+// enumeration); the native rows run with schedule reuse on, and
+// scripts/check_perf_smoke.py pins one of them exactly.
 
 enum IrrWorkload { kSpmv = 0, kMesh = 1, kPbin = 2 };
 
@@ -73,6 +77,7 @@ void BM_IrregularWorkloadReuse(benchmark::State& state) {
   const int workload = static_cast<int>(state.range(0));
   const bool reuse = state.range(1) != 0;
   const char* dist = state.range(2) != 0 ? "INDIRECT(MAP)" : "BLOCK";
+  const int rung = static_cast<int>(state.range(3));
   constexpr int p = 8, steps = 8;
   constexpr int n = 2048, nk = 8;
 
@@ -128,7 +133,7 @@ void BM_IrregularWorkloadReuse(benchmark::State& state) {
     auto compiled = compile::compile_source(source);
     machine::SimMachine m =
         bench::make_machine(p, machine::CostModel::ipsc860());
-    interp::RunOptions ro;
+    interp::RunOptions ro = bench::ladder_options(rung);
     ro.schedule_cache = reuse;
     r = interp::run_compiled(compiled, m, init, ro);
     benchmark::DoNotOptimize(r.real_arrays.at(result_array).data());
@@ -137,16 +142,21 @@ void BM_IrregularWorkloadReuse(benchmark::State& state) {
   }
   state.counters["sim_seconds"] = secs;
   state.counters["messages"] = static_cast<double>(messages);
+  state.counters["bytes"] = static_cast<double>(r.machine.total_bytes());
   state.counters["schedule_hits"] = r.schedule_hits;
   state.counters["schedules_built"] = static_cast<double>(r.schedules_built);
   state.counters["gather_bytes"] = static_cast<double>(r.gather_bytes);
   state.counters["scatter_bytes"] = static_cast<double>(r.scatter_bytes);
   state.counters["irregular_hits"] = r.irregular_hits;
+  state.counters["native_runs"] = static_cast<double>(r.native_runs);
+  state.counters["native_compile_ms"] = r.native_compile_ms;
   state.SetLabel(std::string(irr_name(workload)) + " / " + dist +
-                 (reuse ? " / schedules reused" : " / inspector every trip"));
+                 (reuse ? " / schedules reused" : " / inspector every trip") +
+                 " / " + bench::ladder_label(rung));
 }
 BENCHMARK(BM_IrregularWorkloadReuse)
-    ->ArgsProduct({{kSpmv, kMesh, kPbin}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{kSpmv, kMesh, kPbin}, {0, 1}, {0, 1}, {bench::kExecPlan}})
+    ->ArgsProduct({{kSpmv, kMesh, kPbin}, {1}, {0, 1}, {bench::kNative}})
     ->Iterations(1);
 
 void BM_MatmulFoxVsGather(benchmark::State& state) {

@@ -1,23 +1,31 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate: pin warm native ladder rows against the record.
+"""Perf-smoke gate: pin warm native rows against the record.
 
-Runs benchmarks from the exec-plan ladder (default: the warm native-backend
-jacobi 256^2 on a 4x4 grid and Gauss 256 on 16 processors) at full problem
-size and compares each against the committed BENCH_interp.json:
+Runs the pinned benchmark rows at full problem size — the warm
+native-backend jacobi 256^2 on a 4x4 grid and Gauss 256 on 16 processors
+from the exec-plan ladder (BENCH_interp.json), and the native ELL SpMV row
+of the irregular ladder (BENCH_irregular.json: gathers, needs enumeration
+and executor on kernels, schedules reused, INDIRECT(MAP) on 8 processors)
+— and compares each against its committed record:
 
-* `messages_sent` / `bytes_sent` must match EXACTLY.  Simulated wire
-  traffic is deterministic and machine-independent; a drift of a single
-  message or byte is a behaviour change (a comm plan packing a different
-  slab, a collective issuing an extra call), never noise.
-* The statement-cache counters `plan_hits` / `plan_misses` /
-  `comm_plan_hits` must match EXACTLY too: they count cache lookups, which
-  are as deterministic as the traffic.  `native_runs` is pinned exactly
-  whenever the record has native runs and the native toolchain is present.
+* Simulated wire traffic (messages and bytes) must match EXACTLY.  It is
+  deterministic and machine-independent; a drift of a single message or
+  byte is a behaviour change (a comm plan packing a different slab, a
+  collective issuing an extra call), never noise.
+* The cache counters must match EXACTLY too: `plan_hits` / `plan_misses` /
+  `comm_plan_hits` on the ladder rows, `schedules_built` /
+  `irregular_hits` on the irregular row.  They count cache lookups and
+  inspector runs, which are as deterministic as the traffic.
+  `native_runs` is pinned exactly whenever the record has native runs and
+  the native toolchain is present.
 * Host wall must not regress beyond a noise tolerance.  The JIT compile
   cost is subtracted out on both sides (`native_compile_ms`), so the
-  comparison is warm-kernel wall vs warm-kernel wall; the default
-  tolerance is generous because shared CI runners are noisy, and the
-  exact-traffic check above is the sharp edge of this gate.
+  comparison is warm-kernel wall vs warm-kernel wall.  A record made with
+  `--repetitions N` is compared like for like: the candidate runs N
+  repetitions too, its median-wall repetition is compared, and the exact
+  counters are checked on every repetition.  The default tolerance is
+  generous because shared runners are noisy; the exact counters are the
+  sharp edge of this gate.
 
 When the native toolchain is unavailable (F90D_NATIVE=OFF builds,
 containers without a compiler, env F90D_NATIVE=0) the candidate falls back
@@ -26,7 +34,7 @@ exactly, `native_runs` and the wall gate are skipped with a note (the plan
 interpreter is the fallback, not a regression).
 
 Usage:
-    scripts/check_perf_smoke.py --build-dir build [--baseline BENCH_interp.json]
+    scripts/check_perf_smoke.py --build-dir build [--record-dir .]
         [--bench NAME ...]
 """
 import argparse
@@ -36,10 +44,20 @@ import shutil
 import subprocess
 import sys
 
-DEFAULT_BENCHES = ("BM_ExecPlanJacobi/mode:3/p:4/q:4/iterations:1",
-                   "BM_ExecPlanGauss/mode:3/p:16/iterations:1")
-EXACT_COUNTERS = ("messages_sent", "bytes_sent", "plan_hits", "plan_misses",
-                  "comm_plan_hits")
+LADDER_EXACT = ("messages_sent", "bytes_sent", "plan_hits", "plan_misses",
+                "comm_plan_hits")
+IRREGULAR_EXACT = ("messages", "bytes", "schedules_built", "irregular_hits")
+
+# Pinned row -> (record document, benchmark binary, exact counters).
+PINS = {
+    "BM_ExecPlanJacobi/mode:3/p:4/q:4/iterations:1":
+        ("BENCH_interp.json", "bench_ablation_exec_plan", LADDER_EXACT),
+    "BM_ExecPlanGauss/mode:3/p:16/iterations:1":
+        ("BENCH_interp.json", "bench_ablation_exec_plan", LADDER_EXACT),
+    "BM_IrregularWorkloadReuse/0/1/1/3/iterations:1":
+        ("BENCH_irregular.json", "bench_ablation_schedule_reuse",
+         IRREGULAR_EXACT),
+}
 
 
 def load_entry(doc: dict, name: str) -> dict:
@@ -50,8 +68,12 @@ def load_entry(doc: dict, name: str) -> dict:
                      f"(re-record the baseline with scripts/run_benchmarks.py?)")
 
 
+MS_PER_UNIT = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
 def warm_wall_ms(entry: dict) -> float:
-    return entry["real_time"] - entry.get("native_compile_ms", 0.0)
+    wall = entry["real_time"] * MS_PER_UNIT[entry.get("time_unit", "ns")]
+    return wall - entry.get("native_compile_ms", 0.0)
 
 
 def cmake_cache(build_dir: str, key: str) -> str:
@@ -78,36 +100,46 @@ def native_toolchain_present(build_dir: str) -> bool:
     return bool(cxx) and shutil.which(cxx) is not None
 
 
-def gate(name: str, base: dict, cand: dict, toolchain: bool,
-         tolerance: float) -> list:
-    """Compare one candidate row against its record; returns failures."""
+def exact_failures(name: str, base: dict, cand: dict, exact: tuple,
+                   native: bool, quiet: bool) -> list:
+    """Exact-counter mismatches of one candidate repetition."""
+    counters = exact + (("native_runs",) if native else ())
     failures = []
-    for c in EXACT_COUNTERS:
+    for c in counters:
         b, v = int(base[c]), int(cand.get(c, -1))
-        status = "OK" if b == v else "MISMATCH"
-        print(f"[perf_smoke] {c}: baseline {b}, candidate {v} ({status})")
+        if not quiet:
+            status = "OK" if b == v else "MISMATCH"
+            print(f"[perf_smoke] {c}: baseline {b}, candidate {v} ({status})")
         if b != v:
             failures.append(f"{name}: {c} changed {b} -> {v}")
+    return failures
 
+
+def gate(name: str, base: dict, reps: list, exact: tuple, toolchain: bool,
+         tolerance: float) -> list:
+    """Compare the candidate repetitions of one row against its record;
+    returns failures."""
     native_expected = base.get("native_runs", 0) > 0
+    check_native = native_expected and toolchain
+    cand = sorted(reps, key=lambda r: r["real_time"])[(len(reps) - 1) // 2]
+    failures = exact_failures(name, base, cand, exact, check_native, False)
+    for r in reps:
+        if r is not cand:
+            failures += exact_failures(name, base, r, exact, check_native,
+                                       True)
+    failures = list(dict.fromkeys(failures))  # one line per distinct drift
     if native_expected and not toolchain:
         print("[perf_smoke] native toolchain unavailable here (plan-"
               "interpreter fallback): skipping native_runs and the wall "
               "gate, traffic and cache counters checked above")
         return failures
-    if native_expected:
-        b, v = int(base["native_runs"]), int(cand.get("native_runs", -1))
-        status = "OK" if b == v else "MISMATCH"
-        print(f"[perf_smoke] native_runs: baseline {b}, candidate {v} "
-              f"({status})")
-        if b != v:
-            failures.append(f"{name}: native_runs changed {b} -> {v}")
 
     base_wall, cand_wall = warm_wall_ms(base), warm_wall_ms(cand)
     limit = base_wall * (1.0 + tolerance)
     status = "OK" if cand_wall <= limit else "REGRESSION"
-    print(f"[perf_smoke] warm wall: baseline {base_wall:.1f} ms, "
-          f"candidate {cand_wall:.1f} ms, limit {limit:.1f} ms ({status})")
+    print(f"[perf_smoke] warm wall (median of {len(reps)}): baseline "
+          f"{base_wall:.1f} ms, candidate {cand_wall:.1f} ms, limit "
+          f"{limit:.1f} ms ({status})")
     if cand_wall > limit:
         failures.append(
             f"{name}: warm wall regressed {base_wall:.1f} -> "
@@ -118,40 +150,51 @@ def gate(name: str, base: dict, cand: dict, toolchain: bool,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build-dir", default="build")
-    ap.add_argument("--baseline", default="BENCH_interp.json",
-                    help="recorded ladder document to gate against")
-    ap.add_argument("--bench", action="append",
-                    help="benchmark name to run and compare (repeatable; "
-                         "default: the jacobi and Gauss native rows)")
+    ap.add_argument("--record-dir", default=".",
+                    help="directory holding the committed BENCH_*.json")
+    ap.add_argument("--bench", action="append", choices=sorted(PINS),
+                    help="pinned row to run and compare (repeatable; "
+                         "default: every pinned row)")
     ap.add_argument("--tolerance", type=float, default=0.5,
                     help="allowed fractional wall regression (0.5 = +50%%)")
     args = ap.parse_args()
-    benches = args.bench or list(DEFAULT_BENCHES)
+    benches = args.bench or list(PINS)
 
-    with open(args.baseline) as f:
-        doc = json.load(f)
-    bases = {name: load_entry(doc, name) for name in benches}
-    for base in bases.values():
-        for c in EXACT_COUNTERS:
+    bases = {}
+    for name in benches:
+        record, _, exact = PINS[name]
+        with open(os.path.join(args.record_dir, record)) as f:
+            base = load_entry(json.load(f), name)
+        for c in exact:
             if c not in base:
-                raise SystemExit(f"[perf_smoke] baseline lacks '{c}' — "
-                                 f"re-record {args.baseline} from this tree")
+                raise SystemExit(f"[perf_smoke] record of {name} lacks "
+                                 f"'{c}' — re-record {record} from this tree")
+        bases[name] = base
 
-    binary = os.path.join(args.build_dir, "bench_ablation_exec_plan")
     env = dict(os.environ)
     env.pop("F90D_GE_N", None)  # full size: counters must match the record
     env.pop("F90D_JACOBI_N", None)
     toolchain = native_toolchain_present(args.build_dir)
     failures = []
     for name in benches:
-        cmd = [binary, "--benchmark_format=json",
-               f"--benchmark_filter={name}"]
+        _, binary, exact = PINS[name]
+        base = bases[name]
+        repetitions = int(base.get("repetitions", 1))
+        cmd = [os.path.join(args.build_dir, binary), "--benchmark_format=json",
+               f"--benchmark_filter=^{name}$"]
+        if repetitions > 1:
+            cmd.append(f"--benchmark_repetitions={repetitions}")
         print(f"[perf_smoke] {' '.join(cmd)}", flush=True)
         proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE,
                               check=True)
         text = proc.stdout.decode()
-        cand = load_entry(json.loads(text[: text.rfind("}") + 1]), name)
-        failures += gate(name, bases[name], cand, toolchain, args.tolerance)
+        doc = json.loads(text[: text.rfind("}") + 1])
+        reps = [r for r in doc.get("benchmarks", [])
+                if r.get("name") == name
+                and r.get("run_type", "iteration") == "iteration"]
+        if not reps:
+            raise SystemExit(f"[perf_smoke] {binary} produced no '{name}' row")
+        failures += gate(name, base, reps, exact, toolchain, args.tolerance)
 
     if failures:
         print("[perf_smoke] FAILED: " + "; ".join(failures), file=sys.stderr)

@@ -42,8 +42,10 @@ with the repetition count and the wall spread (real_time_min/_max).
 
 --filter REGEX records only the matching rows (google-benchmark filter
 syntax) and merges them into the existing document: matching rows are
-replaced in place, every other row keeps its recorded values, and
-context.rerecorded lists each merge (filter, date, repetitions).
+replaced in place, recorded rows the filter matches but the binary no
+longer produces (a renamed or removed benchmark) are dropped, every other
+row keeps its recorded values, and context.rerecorded lists each merge
+(filter, date, repetitions).
 
 Recordings are only meaningful from a Release build of libf90d: the script
 reads CMAKE_BUILD_TYPE out of the build directory's CMakeCache.txt, refuses
@@ -57,6 +59,7 @@ authoritative field for the numbers in these records.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -164,8 +167,23 @@ def merge_rows(out_path: str, fresh: dict, filt: str,
     new_rows = {r["name"]: r for r in fresh["benchmarks"]}
     if not new_rows:
         raise RuntimeError(f"--filter {filt!r} matched no benchmark")
-    rows = [new_rows.pop(r["name"], r) for r in doc.get("benchmarks", [])]
-    doc["benchmarks"] = rows + list(new_rows.values())
+    # A negative filter ("-REGEX") selects by exclusion; only a positive one
+    # says which recorded rows the binary should have produced again.
+    # Rows new to the document go where the first dropped row was.
+    stale = None if filt.startswith("-") else re.compile(filt)
+    rows = []
+    insert_at = None
+    for r in doc.get("benchmarks", []):
+        if r["name"] in new_rows:
+            rows.append(new_rows.pop(r["name"]))
+        elif stale is None or not stale.search(r["name"]):
+            rows.append(r)
+        elif insert_at is None:
+            insert_at = len(rows)
+    if insert_at is None:
+        insert_at = len(rows)
+    doc["benchmarks"] = (rows[:insert_at] + list(new_rows.values()) +
+                         rows[insert_at:])
     ctx = doc.setdefault("context", {})
     ctx.setdefault("rerecorded", []).append({
         "filter": filt,

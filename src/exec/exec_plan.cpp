@@ -1050,6 +1050,13 @@ Value load_ref(const RefPlan& r, long long off) {
 
 }  // namespace
 
+RtsError subscript_error(long long sub, const std::string& array,
+                         long long lower, long long extent, int dim) {
+  return RtsError(strformat(
+      "subscript %lld of %s is out of range [%lld, %lld] in dimension %d",
+      sub, array.c_str(), lower, lower + extent - 1, dim + 1));
+}
+
 Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
                 const Index* varvals, const long long* offs,
                 std::vector<Value>& stack) {
@@ -1074,11 +1081,8 @@ Value eval_tape(const Tape& t, const std::vector<RefPlan>& refs,
               stack[stack.size() - rank + d].as_i();
           const long long rel = sub - er.lowers[d];
           if (rel < 0 || rel >= er.extents[d])
-            throw RtsError(strformat(
-                "subscript %lld of %s is out of range [%lld, %lld] in "
-                "dimension %d",
-                sub, er.array.c_str(), er.lowers[d],
-                er.lowers[d] + er.extents[d] - 1, static_cast<int>(d) + 1));
+            throw subscript_error(sub, er.array, er.lowers[d],
+                                  er.extents[d], static_cast<int>(d));
           off += (rel + er.shifts[d]) * er.strides[d];
         }
         stack.resize(stack.size() - rank);

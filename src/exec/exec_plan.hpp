@@ -150,6 +150,13 @@ struct Tape {
 /// Trip count of the inclusive triplet lo:hi:st (st != 0).
 [[nodiscard]] Index trip_count(Index lo, Index hi, Index st);
 
+/// The out-of-range diagnostic of a checked subscript: `sub` of `array`
+/// outside [lower, lower+extent-1] in 0-based dimension `dim`.  One text
+/// for the tree walk, the tapes and the native kernels' error records.
+[[nodiscard]] RtsError subscript_error(long long sub, const std::string& array,
+                                       long long lower, long long extent,
+                                       int dim);
+
 /// Evaluate a postfix tape against bound references.  `varvals` holds the
 /// current loop-variable values (kVar), `offs` the flat offset of each
 /// reference (kRef, indexed by Ins::a).  Shared by run_exec_plan and the

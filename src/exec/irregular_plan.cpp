@@ -18,11 +18,8 @@ Index flat_of(const GlobalIndexer& gi, const std::vector<RefPlan>& refs,
         eval_tape(gi.subs[d], refs, varvals, offs, stack).as_i();
     const long long g = sub - gi.lowers[d];
     if (g < 0 || g >= static_cast<long long>(gi.extents[d]))
-      throw RtsError(strformat(
-          "subscript %lld of %s is out of range [%lld, %lld] in dimension %d",
-          sub, gi.array.c_str(), gi.lowers[d],
-          gi.lowers[d] + static_cast<long long>(gi.extents[d]) - 1,
-          static_cast<int>(d) + 1));
+      throw subscript_error(sub, gi.array, gi.lowers[d], gi.extents[d],
+                            static_cast<int>(d));
     flat += g * gi.gstrides[d];
   }
   return flat;
@@ -39,9 +36,11 @@ void run_irregular_needs(const IrregularPlan& p, const IrrRead& read,
                });
 }
 
-Index run_irregular_scatter(const IrregularPlan& p, PlanScratch& scratch,
-                            std::vector<double>& values,
-                            std::vector<Index>& dest_ids) {
+Index run_irregular_scatter(const IrregularPlan& p, PlanScratch& scratch) {
+  std::vector<double>& values = scratch.values;
+  std::vector<Index>& dest_ids = scratch.dest_ids;
+  values.clear();
+  dest_ids.clear();
   return for_each_iteration(
       p.core, scratch, [&](const Index* varvals, const long long* offs) {
         // Rhs before destination, like the tree walk: an out-of-range

@@ -20,7 +20,14 @@
 //   executor (every trip): the gathered values land in iteration-order
 //     buffers (RefPlan::kRealIterBuf/kIntIterBuf) and the compute loop is
 //     a plain run_exec_plan; scattered writes evaluate the rhs per
-//     iteration into (value, destination-id) streams for schedule3.
+//     iteration into PlanScratch's (value, destination-id) streams for
+//     schedule3.
+//
+// On the native rung both halves are kernels of one translation unit
+// (native/lower.hpp): the executor is kernel mode 0 and the needs
+// enumeration of reads[r] is mode 1 + r, with the GlobalIndexer tapes
+// range-checked inside the kernel.  The tape runners below are the
+// fallback and the reference they are diffed against.
 //
 // Schedules themselves stay in the interpreter's ScheduleCache — both
 // execution paths share one cache per node, keyed on the schedule key
@@ -91,11 +98,11 @@ void run_irregular_needs(const IrregularPlan& p, const IrrRead& read,
                          PlanScratch& scratch, std::vector<Index>& out);
 
 /// Executor, buffered-lhs form: evaluate the rhs per local iteration and
-/// stream (value, destination flat global id) pairs for the scatter.
-/// Returns the iteration count for cost charging.
+/// refill scratch.values/dest_ids with (value, destination flat global
+/// id) pairs for the scatter — the streams a regular concatenation plan
+/// fills, reused every trip.  Returns the iteration count for cost
+/// charging.
 [[nodiscard]] Index run_irregular_scatter(const IrregularPlan& p,
-                                          PlanScratch& scratch,
-                                          std::vector<double>& values,
-                                          std::vector<Index>& dest_ids);
+                                          PlanScratch& scratch);
 
 }  // namespace f90d::exec

@@ -84,21 +84,24 @@ bool StmtCache::binds(const Entry& e, const std::string& array) {
   auto in = [&](const std::vector<std::string>& arrays) {
     return std::find(arrays.begin(), arrays.end(), array) != arrays.end();
   };
-  // The native attachment binds exactly its regular plan's arrays.
+  // The native attachment binds exactly its plan's arrays.
   return (e.regular && e.regular->plan && in(e.regular->plan->arrays)) ||
          (e.irregular && e.irregular->plan &&
           in(e.irregular->plan->core.arrays)) ||
          (e.comm && in(e.comm->arrays));
 }
 
-Index StmtCache::run_native(Entry& e) {
-  const ExecPlan& plan = *e.regular->plan;
-  if (!native::attachable(plan)) return -1;
+Index StmtCache::run_native(Entry& e, int mode, std::vector<double>* values,
+                            std::vector<Index>* ids) {
+  const bool regular = e.regular && e.regular->plan;
+  const IrregularPlan* irr = regular ? nullptr : e.irregular->plan.get();
+  const ExecPlan& plan = regular ? *e.regular->plan : irr->core;
+  if (!native::attachable(plan, irr)) return -1;
   if (!e.native) {
     ++stats_.native_attaches;
-    e.native = std::make_unique<native::Attachment>(native::attach(plan));
+    e.native = std::make_unique<native::Attachment>(native::attach(plan, irr));
   }
-  const Index iters = native::run_attached(*e.native, plan);
+  const Index iters = native::run_attached(*e.native, plan, mode, values, ids);
   ++(iters < 0 ? stats_.native_fallbacks : stats_.native_runs);
   return iters;
 }

@@ -12,7 +12,9 @@
 //   irregular  the IrregularPlan build outcome, once tried — a statement
 //              the regular planner declines may still plan as irregular
 //   comm       the compiled pre-communication slots of a regular plan
-//   native     the JIT kernel attachment of a regular plan
+//   native     the JIT kernel attachment of the entry's plan: the regular
+//              plan, or the irregular core with its scatter and needs
+//              modes
 //
 // One key builder serves both planners (each family has its own key-scalar
 // list: the regular planner's baked scalars, the irregular planner's every
@@ -49,8 +51,8 @@ class StmtCache {
     std::optional<PlanEntry> regular;
     std::optional<IrrPlanEntry> irregular;
     std::optional<CommPlans::StmtPlan> comm;
-    /// Boxed: most entries (reductions, concatenation plans, declines,
-    /// empty nests) never attach.
+    /// Boxed: many entries (reductions, declines, empty nests) never
+    /// attach.
     std::unique_ptr<native::Attachment> native;  ///< binds the plan's arrays
   };
 
@@ -118,10 +120,15 @@ class StmtCache {
   /// One statement execution fell through every compiled rung.
   void note_tree_stmt() { ++stats_.tree_stmts; }
 
-  /// Run the entry's (bound) regular plan as a native kernel, attaching it
-  /// on first use and re-packing its arguments after a rebind.  Returns the iteration count, or -1 when the caller must
-  /// use the tape interpreter instead.
-  Index run_native(Entry& e);
+  /// Run kernel `mode` of the entry's (bound) plan — its regular plan, or
+  /// else its irregular core — attaching it on first use and re-packing
+  /// its arguments after a rebind.  Mode 0 executes (a buffered lhs
+  /// refills `values`/`ids`); mode 1 + r appends irregular read r's needs
+  /// to `ids`.  Returns the iteration count, or -1 when the caller must
+  /// use the tape interpreter instead.  Every kernel run counts in
+  /// Stats::native_runs.
+  Index run_native(Entry& e, int mode, std::vector<double>* values,
+                   std::vector<Index>* ids);
 
   /// Drop every entry that binds `array`'s storage — all of its parts
   /// together.  Must be called by any operation that may replace the

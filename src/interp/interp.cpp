@@ -420,7 +420,12 @@ class Node {
       f();
       ++flat_iter_;
       // Odometer: last variable fastest (matches buffer packing order).
+      // An index-free statement (one element write) runs exactly once.
       size_t k = nv;
+      if (k == 0) {
+        cleanup_frame(s);
+        return;
+      }
       while (k > 0) {
         --k;
         VarState& v = st[k];
@@ -561,10 +566,13 @@ class Node {
           s, stmts_.key_scalars(s, env_, Family::kRegular));
     }));
     // Backend ladder: native kernel when enabled and attachable, tape
-    // interpreter otherwise.  Both return the same iteration count, so the
+    // interpreter otherwise.  Both return the same iteration count (and
+    // fill the same value/destination streams for a buffered lhs), so the
     // simulated cost charged below is identical either way.
     Index iters = -1;
-    if (opt_.native_backend) iters = stmts_.run_native(*e);
+    if (opt_.native_backend)
+      iters = stmts_.run_native(*e, 0, &plan_scratch_.values,
+                                &plan_scratch_.dest_ids);
     if (iters < 0) iters = exec::run_exec_plan(plan, plan_scratch_);
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
@@ -601,23 +609,35 @@ class Node {
     for (const CommAction& a : s.pre)
       if (!a.eliminated && a.kind != CommKind::kGather) run_action(s, a, {});
     // Gathers in descending ref-id order (inner indirections first); the
-    // inspector closure fires only on a schedule-cache miss.
-    for (const exec::IrrRead& rd : plan.reads) {
+    // inspector closure fires only on a schedule-cache miss.  Inspector
+    // and executor take the same native → tape ladder as regular plans:
+    // kernel mode 1 + r enumerates read r's needs, mode 0 executes.
+    for (size_t r = 0; r < plan.reads.size(); ++r) {
+      const exec::IrrRead& rd = plan.reads[r];
       gather_via_schedule(s, *rd.action,
                           s.refs[static_cast<size_t>(rd.ref_id)],
                           [&](std::vector<Index>& needs) {
-                            exec::run_irregular_needs(plan, rd, plan_scratch_,
-                                                      needs);
+                            if (!opt_.native_backend ||
+                                stmts_.run_native(e, static_cast<int>(r) + 1,
+                                                  nullptr, &needs) < 0)
+                              exec::run_irregular_needs(plan, rd,
+                                                        plan_scratch_, needs);
                           });
     }
-    Index iters = 0;
-    std::vector<double> values;
-    std::vector<Index> dest_ids;
-    if (plan.lhs_buffered)
-      iters = exec::run_irregular_scatter(plan, plan_scratch_, values,
-                                          dest_ids);
-    else
-      iters = exec::run_exec_plan(plan.core, plan_scratch_);
+    // The executor reuses the scratch value/destination streams: no
+    // allocation once warm.
+    std::vector<double>& values = plan_scratch_.values;
+    std::vector<Index>& dest_ids = plan_scratch_.dest_ids;
+    Index iters = -1;
+    if (opt_.native_backend) iters = stmts_.run_native(e, 0, &values, &dest_ids);
+    if (iters < 0)
+      iters = plan.lhs_buffered
+                  ? exec::run_irregular_scatter(plan, plan_scratch_)
+                  : exec::run_exec_plan(plan.core, plan_scratch_);
+    if (!plan.lhs_buffered) {
+      values.clear();
+      dest_ids.clear();
+    }
     proc_.charge_flops(static_cast<double>(iters) * s.flops_per_iter);
     proc_.charge_int_ops(static_cast<double>(iters) * 4.0);
     run_post_actions(s, values, dest_ids);
@@ -738,11 +758,7 @@ class Node {
       const Index gd = g[static_cast<size_t>(d)];
       if (gd < 0 || gd >= dad.extent(d)) {
         const long long lo = env_.lower_of(name, d);
-        throw RtsError(strformat(
-            "subscript %lld of %s is out of range [%lld, %lld] in dimension "
-            "%d",
-            static_cast<long long>(gd) + lo, name.c_str(), lo,
-            lo + static_cast<long long>(dad.extent(d)) - 1, d + 1));
+        throw exec::subscript_error(gd + lo, name, lo, dad.extent(d), d);
       }
       flat = flat * dad.extent(d) + gd;
     }

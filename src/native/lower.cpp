@@ -47,9 +47,14 @@ struct Tmp {
   K k = K::kD;
 };
 
+std::string ilit(long long v) {
+  return std::string("(") + std::to_string(v) + "LL)";
+}
+
 class Lowerer {
  public:
-  explicit Lowerer(const ExecPlan& p) : p_(p), nv_(p.loops.size()) {}
+  Lowerer(const ExecPlan& p, const exec::IrregularPlan* irr)
+      : p_(p), irr_(irr), nv_(p.loops.size()) {}
 
   Lowered run() {
     if (nv_ == 0) fail("empty loop nest");
@@ -57,25 +62,34 @@ class Lowerer {
       case RefPlan::Kind::kRealDirect:
       case RefPlan::Kind::kIntDirect:
       case RefPlan::Kind::kLogicalDirect:
+      case RefPlan::Kind::kValueBuf:
         break;
+      case RefPlan::Kind::kNone:
+        if (irr_ != nullptr && irr_->lhs_buffered) break;
+        fail("section reduction");
       default:
         fail("non-direct lhs");
     }
     used_var_.assign(nv_, false);
 
-    // Lower the tapes first (into side strings): this discovers which loop
-    // variables, references and runtime scalars the body actually uses.
-    const std::string body_ind(2 + 2 * nv_, ' ');
-    std::ostringstream mos, ros;
-    Tmp mask;
-    const bool has_mask = !p_.mask.empty();
-    if (has_mask) mask = lower_tape(p_.mask, mos, body_ind);
-    const std::string rhs_ind = has_mask ? body_ind + "  " : body_ind;
-    const Tmp res = lower_tape(p_.rhs, ros, rhs_ind);
+    // Lower every mode's body first (into side strings): this discovers
+    // which loop variables, references and runtime scalars are used.
+    const std::string ind(4 + 2 * nv_, ' ');
+    std::vector<std::string> bodies;
+    std::ostringstream bos;
+    executor_body(bos, ind);
+    bodies.push_back(bos.str());
+    if (irr_ != nullptr)
+      for (const exec::IrrRead& rd : irr_->reads) {
+        bos.str("");
+        const std::string f = lower_flat(rd.idx, bos, ind);
+        bos << ind << "oi[w++] = " << f << ";\n";
+        bodies.push_back(bos.str());
+      }
 
+    const size_t nr = p_.refs.size();
     std::ostringstream os;
     os << "// generated by the f90d native node-program backend\n"
-       << "#include <cmath>\n"
        << "static inline long long f90d_idiv(long long a, long long b) "
           "{ return b == 0 ? 0 : a / b; }\n"
        << "static inline long long f90d_imod(long long a, long long b) "
@@ -91,36 +105,78 @@ class Lowerer {
        << "    const long long* const* tb, const double* ds,\n"
        << "    const long long* is, const unsigned char* ls) {\n"
        << "  (void)lp; (void)lv; (void)base; (void)rb; (void)st; (void)tb;\n"
-       << "  (void)ds; (void)is; (void)ls;\n";
+       << "  (void)ds; (void)is; (void)ls;\n"
+       << "  const long long mode = lp[" << 3 * nv_ << "];\n"
+       << "  double* ov = (double*)base[" << nr + 1 << "];\n"
+       << "  long long* oi = (long long*)base[" << nr + 2 << "];\n"
+       << "  long long* err = (long long*)base[" << nr + 3 << "];\n"
+       << "  (void)ov; (void)oi; (void)err;\n";
 
     // Storage pointers: reads in plan order, then the lhs at index nr.
-    const size_t nr = p_.refs.size();
     for (size_t r = 0; r <= nr; ++r) {
-      const RefPlan& rp = ref(r);
       const char* ty = nullptr;
-      switch (rp.kind) {
+      switch (ref(r).kind) {
         case RefPlan::Kind::kRealDirect:
-        case RefPlan::Kind::kRealSlab: ty = "double"; break;
-        case RefPlan::Kind::kIntDirect: ty = "long long"; break;
+        case RefPlan::Kind::kRealSlab:
+        case RefPlan::Kind::kRealIterBuf: ty = "double"; break;
+        case RefPlan::Kind::kIntDirect:
+        case RefPlan::Kind::kIntIterBuf: ty = "long long"; break;
         case RefPlan::Kind::kLogicalDirect: ty = "unsigned char"; break;
-        case RefPlan::Kind::kScalarSlot: continue;  // value arrives via ds/is/ls
-        case RefPlan::Kind::kRealIterBuf:
-        case RefPlan::Kind::kIntIterBuf:
-          fail("iteration buffer (irregular plan)");
-        case RefPlan::Kind::kValueBuf:
+        case RefPlan::Kind::kScalarSlot:  // value arrives via ds/is/ls
+        case RefPlan::Kind::kValueBuf:    // streams into ov/oi
         case RefPlan::Kind::kNone:
-          fail("non-direct lhs");
+          continue;
       }
       os << "  " << ty << "* b" << r << " = (" << ty << "*)base[" << r
          << "];\n";
     }
+    for (size_t j = 0; j < elem_types_.size(); ++j)
+      os << "  const " << elem_types_[j] << "* e" << j << " = (const "
+         << elem_types_[j] << "*)base[" << nr + 4 + j << "];\n";
     for (size_t k = 0; k < nv_; ++k)
       os << "  const long long n" << k << " = lp[" << 3 * k << "];\n";
+    for (size_t m = 0; m < bodies.size(); ++m) {
+      os << "  if (mode == " << m << ") {\n"
+         << "    long long w = 0;\n"
+         << "    (void)w;\n";
+      emit_nest(os, bodies[m]);
+      os << "    return;\n"
+         << "  }\n";
+    }
+    os << "}\n";
 
-    // The nest.  Per level: the counter, the (optional) source-coordinate
-    // value, and one hoisted partial flat offset per direct/slab reference.
+    Lowered out;
+    out.source = os.str();
+    out.scalars = std::move(binds_);
+    out.n_ds = n_ds_;
+    out.n_is = n_is_;
+    out.n_ls = n_ls_;
+    out.elems = std::move(elem_bases_);
+    out.sites = std::move(sites_);
+    return out;
+  }
+
+ private:
+  const RefPlan& ref(size_t r) const { return r < p_.refs.size() ? p_.refs[r] : p_.lhs; }
+
+  /// Whether ref r carries a flat-offset recurrence in the kernel.
+  bool has_offset(size_t r) const {
+    switch (ref(r).kind) {
+      case RefPlan::Kind::kScalarSlot:
+      case RefPlan::Kind::kNone:
+        return false;
+      default:
+        return true;
+    }
+  }
+
+  /// The loop nest around `body`.  Per level: the counter, the (optional)
+  /// source-coordinate value, and one hoisted partial flat offset per
+  /// reference with a recurrence.
+  void emit_nest(std::ostringstream& os, const std::string& body) const {
+    const size_t nr = p_.refs.size();
     for (size_t k = 0; k < nv_; ++k) {
-      const std::string ind(2 + 2 * k, ' ');
+      const std::string ind(4 + 2 * k, ' ');
       os << ind << "for (long long c" << k << " = 0; c" << k << " < n" << k
          << "; ++c" << k << ") {\n";
       if (used_var_[k]) {
@@ -132,7 +188,7 @@ class Lowerer {
           os << "lv[" << k << "][c" << k << "];\n";
       }
       for (size_t r = 0; r <= nr; ++r) {
-        if (ref(r).kind == RefPlan::Kind::kScalarSlot) continue;
+        if (!has_offset(r)) continue;
         os << ind << "  const long long q" << r << "_" << k << " = "
            << (k == 0 ? std::string("rb[") + std::to_string(r) + "]"
                       : std::string("q") + std::to_string(r) + "_" +
@@ -140,28 +196,72 @@ class Lowerer {
            << " + " << term(r, k) << ";\n";
       }
     }
-
-    os << mos.str();
-    if (has_mask) os << body_ind << "if (" << cvt(mask, K::kB) << ") {\n";
-    os << ros.str();
-    os << rhs_ind << "b" << nr << "[" << off(nr) << "] = " << store(res)
-       << ";\n";
-    if (has_mask) os << body_ind << "}\n";
+    os << body;
     for (size_t k = nv_; k > 0; --k)
-      os << std::string(2 * k, ' ') << "}\n";
-    os << "}\n";
-
-    Lowered out;
-    out.source = os.str();
-    out.scalars = std::move(binds_);
-    out.n_ds = n_ds_;
-    out.n_is = n_is_;
-    out.n_ls = n_ls_;
-    return out;
+      os << std::string(2 + 2 * k, ' ') << "}\n";
   }
 
- private:
-  const RefPlan& ref(size_t r) const { return r < p_.refs.size() ? p_.refs[r] : p_.lhs; }
+  /// Mode 0: the statement's compute loop — a masked store through a
+  /// direct lhs, or one (value, destination id) pair per iteration into
+  /// the ov/oi streams (concatenation: the lhs recurrence is the flat
+  /// global id; scatter: the irregular lhs indexer computes it).
+  void executor_body(std::ostringstream& os, const std::string& ind) {
+    const size_t nr = p_.refs.size();
+    const bool stream = p_.lhs.kind == RefPlan::Kind::kValueBuf ||
+                        p_.lhs.kind == RefPlan::Kind::kNone;
+    if (stream) {
+      if (!p_.mask.empty()) fail("masked buffered lhs");
+      const Tmp res = lower_tape(p_.rhs, os, ind);
+      const std::string dest = p_.lhs.kind == RefPlan::Kind::kValueBuf
+                                   ? off(nr)
+                                   : lower_flat(irr_->lhs_idx, os, ind);
+      os << ind << "ov[w] = " << cvt(res, K::kD) << ";\n"
+         << ind << "oi[w++] = " << dest << ";\n";
+      return;
+    }
+    const bool has_mask = !p_.mask.empty();
+    std::string rhs_ind = ind;
+    if (has_mask) {
+      const Tmp mask = lower_tape(p_.mask, os, ind);
+      os << ind << "if (" << cvt(mask, K::kB) << ") {\n";
+      rhs_ind += "  ";
+    }
+    const Tmp res = lower_tape(p_.rhs, os, rhs_ind);
+    os << rhs_ind << "b" << nr << "[" << off(nr) << "] = " << store(res)
+       << ";\n";
+    if (has_mask) os << ind << "}\n";
+  }
+
+  /// One range check: `sub` (an integer temporary) against
+  /// [lower, lower+extent-1]; on failure the kernel records the site and
+  /// the subscript and stops.  Returns the 0-based index temporary.
+  std::string check(std::ostringstream& os, const std::string& ind,
+                    const std::string& sub, const std::string& array,
+                    long long lower, long long extent, int dim) {
+    const int site = static_cast<int>(sites_.size());
+    sites_.push_back(CheckSite{array, lower, extent, dim});
+    const Tmp g = mk(os, ind, K::kI, sub + " - " + ilit(lower));
+    os << ind << "if (" << g.name << " < 0 || " << g.name
+       << " >= " << ilit(extent) << ") { err[0] = " << site
+       << "; err[1] = " << sub << "; return; }\n";
+    return g.name;
+  }
+
+  /// A GlobalIndexer's flat global element id: each dimension's tape,
+  /// then its range check, in dimension order (the tape's flat_of).
+  std::string lower_flat(const exec::GlobalIndexer& gi,
+                         std::ostringstream& os, const std::string& ind) {
+    std::string flat = "0LL";
+    for (size_t d = 0; d < gi.subs.size(); ++d) {
+      const Tmp v = lower_tape(gi.subs[d], os, ind);
+      const Tmp sub = mk(os, ind, K::kI, cvt(v, K::kI));
+      const std::string g =
+          check(os, ind, sub.name, gi.array, gi.lowers[d],
+                static_cast<long long>(gi.extents[d]), static_cast<int>(d));
+      flat += " + " + g + " * " + ilit(gi.gstrides[d]);
+    }
+    return mk(os, ind, K::kI, flat).name;
+  }
 
   /// Flat-offset variable of ref r in the innermost scope.
   std::string off(size_t r) const {
@@ -237,6 +337,49 @@ class Lowerer {
     return "ds[0]";
   }
 
+  /// The e<j> pointer of a whole-array element read's storage (one slot
+  /// per distinct storage, passed at call time like every other base).
+  std::string elem_base(const exec::ElemRef& er) {
+    const void* base = er.dbase != nullptr   ? static_cast<const void*>(er.dbase)
+                       : er.ibase != nullptr ? static_cast<const void*>(er.ibase)
+                                             : static_cast<const void*>(er.lbase);
+    size_t j = 0;
+    while (j < elem_bases_.size() && elem_bases_[j] != base) ++j;
+    if (j == elem_bases_.size()) {
+      elem_bases_.push_back(base);
+      elem_types_.push_back(er.dbase != nullptr   ? "double"
+                            : er.ibase != nullptr ? "long long"
+                                                  : "unsigned char");
+    }
+    return std::string("e") + std::to_string(j);
+  }
+
+  /// kElem: the rank subscripts (already on the stack), each range-checked
+  /// in dimension order, folded into the replicated storage offset.
+  Tmp lower_elem(std::ostringstream& os, const std::string& ind,
+                 const exec::ElemRef& er, std::vector<Tmp>& stack) {
+    const size_t rank = er.lowers.size();
+    if (stack.size() < rank) fail("tape underflow");
+    const std::vector<Tmp> args(stack.end() - static_cast<long>(rank),
+                                stack.end());
+    stack.resize(stack.size() - rank);
+    std::string off = "0LL";
+    for (size_t d = 0; d < rank; ++d) {
+      const Tmp sub = mk(os, ind, K::kI, cvt(args[d], K::kI));
+      const std::string g =
+          check(os, ind, sub.name, er.array, er.lowers[d],
+                static_cast<long long>(er.extents[d]), static_cast<int>(d));
+      off += " + (" + g + " + " + ilit(er.shifts[d]) + ") * " +
+             ilit(er.strides[d]);
+    }
+    const std::string e = elem_base(er);
+    const Tmp o = mk(os, ind, K::kI, off);
+    if (er.lbase != nullptr)
+      return mk(os, ind, K::kB, "(" + e + "[" + o.name + "] != 0)");
+    return mk(os, ind, er.dbase != nullptr ? K::kD : K::kI,
+              e + "[" + o.name + "]");
+  }
+
   Tmp mk(std::ostringstream& os, const std::string& ind, K k,
          const std::string& expr) {
     Tmp t{std::string("t") + std::to_string(tmp_++), k};
@@ -284,31 +427,26 @@ class Lowerer {
         case Op::kRef: {
           const size_t r = static_cast<size_t>(ins.a);
           const RefPlan& rp = p_.refs[r];
+          const std::string at =
+              std::string("b") + std::to_string(r) + "[" + off(r) + "]";
           switch (rp.kind) {
             case RefPlan::Kind::kRealDirect:
             case RefPlan::Kind::kRealSlab:
-              stack.push_back(mk(os, ind, K::kD,
-                                 std::string("b") + std::to_string(r) + "[" +
-                                     off(r) + "]"));
+            case RefPlan::Kind::kRealIterBuf:
+              stack.push_back(mk(os, ind, K::kD, at));
               break;
             case RefPlan::Kind::kIntDirect:
-              stack.push_back(mk(os, ind, K::kI,
-                                 std::string("b") + std::to_string(r) + "[" +
-                                     off(r) + "]"));
+            case RefPlan::Kind::kIntIterBuf:
+              stack.push_back(mk(os, ind, K::kI, at));
               break;
             case RefPlan::Kind::kLogicalDirect:
-              stack.push_back(mk(os, ind, K::kB,
-                                 std::string("(b") + std::to_string(r) + "[" +
-                                     off(r) + "] != 0)"));
+              stack.push_back(mk(os, ind, K::kB, "(" + at + " != 0)"));
               break;
             case RefPlan::Kind::kScalarSlot: {
               const Value* src = &rp.buf->scalar;
               stack.push_back(mk(os, ind, src->k, scalar_slot(src)));
               break;
             }
-            case RefPlan::Kind::kRealIterBuf:
-            case RefPlan::Kind::kIntIterBuf:
-              fail("iteration buffer (irregular plan)");
             case RefPlan::Kind::kValueBuf:
             case RefPlan::Kind::kNone:
               fail("write-only reference kind");
@@ -316,7 +454,9 @@ class Lowerer {
           break;
         }
         case Op::kElem:
-          fail("whole-array element access (irregular plan)");
+          stack.push_back(lower_elem(
+              os, ind, tape.elems[static_cast<size_t>(ins.a)], stack));
+          break;
         case Op::kNeg: {
           const Tmp v = pop(stack);
           if (v.k == K::kI)
@@ -389,8 +529,8 @@ class Lowerer {
                    ? mk(os, ind, K::kI,
                         "f90d_ipow(" + l.name + ", " + r.name + ")")
                    : mk(os, ind, K::kD,
-                        std::string("std::pow(") + cvt(l, K::kD) + ", " +
-                            cvt(r, K::kD) + ")");
+                        std::string("__builtin_pow(") + cvt(l, K::kD) +
+                            ", " + cvt(r, K::kD) + ")");
       case Op::kEq: return mk(os, ind, K::kB, dd("=="));
       case Op::kNe: return mk(os, ind, K::kB, dd("!="));
       case Op::kLt: return mk(os, ind, K::kB, dd("<"));
@@ -416,19 +556,19 @@ class Lowerer {
       case Op::kAbs:
         if (args[0].k == K::kI)
           return mk(os, ind, K::kI, "f90d_iabs(" + args[0].name + ")");
-        return d1("std::fabs");
-      case Op::kSqrt: return d1("std::sqrt");
-      case Op::kExp: return d1("std::exp");
-      case Op::kLog: return d1("std::log");
-      case Op::kSin: return d1("std::sin");
-      case Op::kCos: return d1("std::cos");
+        return d1("__builtin_fabs");
+      case Op::kSqrt: return d1("__builtin_sqrt");
+      case Op::kExp: return d1("__builtin_exp");
+      case Op::kLog: return d1("__builtin_log");
+      case Op::kSin: return d1("__builtin_sin");
+      case Op::kCos: return d1("__builtin_cos");
       case Op::kMod:
         if (args[0].k == K::kI && args[1].k == K::kI)
           return mk(os, ind, K::kI,
                     "f90d_imod(" + args[0].name + ", " + args[1].name + ")");
         return mk(os, ind, K::kD,
-                  std::string("std::fmod(") + cvt(args[0], K::kD) + ", " +
-                      cvt(args[1], K::kD) + ")");
+                  std::string("__builtin_fmod(") + cvt(args[0], K::kD) +
+                      ", " + cvt(args[1], K::kD) + ")");
       case Op::kMin:
       case Op::kMax: {
         // The tape's accumulator keeps the *Value* of whichever argument
@@ -449,13 +589,15 @@ class Lowerer {
       case Op::kToInt: return mk(os, ind, K::kI, cvt(args[0], K::kI));
       case Op::kNint:
         return mk(os, ind, K::kI,
-                  std::string("std::llround(") + cvt(args[0], K::kD) + ")");
+                  std::string("__builtin_llround(") + cvt(args[0], K::kD) +
+                      ")");
       default: break;
     }
     fail("unexpected intrinsic op");
   }
 
   const ExecPlan& p_;
+  const exec::IrregularPlan* irr_;
   const size_t nv_;
   int tmp_ = 0;
   std::vector<bool> used_var_;
@@ -464,13 +606,17 @@ class Lowerer {
   int n_ds_ = 0;
   int n_is_ = 0;
   int n_ls_ = 0;
+  std::vector<const void*> elem_bases_;
+  std::vector<const char*> elem_types_;
+  std::vector<CheckSite> sites_;
 };
 
 }  // namespace
 
-std::optional<Lowered> lower_plan(const exec::ExecPlan& p, std::string* why) {
+std::optional<Lowered> lower_plan(const exec::ExecPlan& p, std::string* why,
+                                  const exec::IrregularPlan* irr) {
   try {
-    return Lowerer(p).run();
+    return Lowerer(p, irr).run();
   } catch (const Fail& f) {
     if (why != nullptr) *why = f.reason;
     return std::nullopt;
@@ -482,7 +628,6 @@ namespace {
 std::string comm_kernel_head() {
   std::ostringstream os;
   os << "// generated by the f90d comm-plan backend\n"
-     << "#include <cstring>\n"
      << "extern \"C\" void " << kKernelSymbol
      << "(const long long* lp, const long long* const* lv,\n"
      << "    void* const* base, const long long* rb, const long long* st,\n"
@@ -516,10 +661,10 @@ std::string lower_copy_kernel(int levels, bool pack) {
   for (int k = 0; k < levels; ++k)
     off += " + c" + std::to_string(k) + "*st[" + std::to_string(k) + "]";
   if (pack) {
-    os << ind << "std::memcpy(d, s0" << off << ", (size_t)ch);\n"
+    os << ind << "__builtin_memcpy(d, s0" << off << ", (__SIZE_TYPE__)ch);\n"
        << ind << "d += ch;\n";
   } else {
-    os << ind << "std::memcpy(d0" << off << ", s, (size_t)ch);\n"
+    os << ind << "__builtin_memcpy(d0" << off << ", s, (__SIZE_TYPE__)ch);\n"
        << ind << "s += ch;\n";
   }
   for (int k = levels - 1; k >= 0; --k) os << std::string(2 + 2 * k, ' ') << "}\n";
@@ -536,20 +681,20 @@ std::string lower_index_kernel(bool gather, bool cast_d2i) {
     os << "  const char* s = (const char*)base[0];\n"
        << "  char* d = (char*)base[1];\n"
        << "  for (long long k = 0; k < n; ++k) {\n"
-       << "    double v; std::memcpy(&v, s + off[k], 8);\n"
+       << "    double v; __builtin_memcpy(&v, s + off[k], 8);\n"
        << "    const long long w = (long long)v;\n"
-       << "    std::memcpy(d + 8*k, &w, 8);\n"
+       << "    __builtin_memcpy(d + 8*k, &w, 8);\n"
        << "  }\n";
   } else if (gather) {
     os << "  const char* s = (const char*)base[0];\n"
        << "  char* d = (char*)base[1];\n"
        << "  for (long long k = 0; k < n; ++k)\n"
-       << "    std::memcpy(d + 8*k, s + off[k], 8);\n";
+       << "    __builtin_memcpy(d + 8*k, s + off[k], 8);\n";
   } else {
     os << "  const char* s = (const char*)base[1];\n"
        << "  char* d = (char*)base[0];\n"
        << "  for (long long k = 0; k < n; ++k)\n"
-       << "    std::memcpy(d + off[k], s + 8*k, 8);\n";
+       << "    __builtin_memcpy(d + off[k], s + 8*k, 8);\n";
   }
   os << "}\n";
   return os.str();

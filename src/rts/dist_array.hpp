@@ -197,7 +197,11 @@ class DistArray {
   /// the {index,value} pairs gather_global sends, and no broadcast leg —
   /// and the root reconstructs each sender's global indices from the DAD.
   /// Collective: every processor must call it at the same program point.
+  /// A fully replicated array is processor 0's own copy: nothing is packed
+  /// or sent anywhere else.
   [[nodiscard]] std::vector<T> gather_global_root(comm::GridComm& gc) {
+    const bool replicated = dad_.fully_replicated();
+    if (replicated && gc.my_logical() != 0) return {};
     std::vector<T> mine;
     mine.reserve(static_cast<size_t>(local_size()));
     if (local_size() > 0) {
@@ -212,6 +216,10 @@ class DistArray {
     std::vector<T> out;
     if (gc.my_logical() == 0)
       out.assign(static_cast<size_t>(dad_.global_size()), T{});
+    if (replicated) {
+      place_block(gc.grid().coords_of(0), mine, out);
+      return out;
+    }
     gc.gather_root<T>(std::span<const T>(mine),
                       [&](int logical, std::span<const T> blk) {
                         place_block(gc.grid().coords_of(logical), blk, out);

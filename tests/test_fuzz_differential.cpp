@@ -22,6 +22,7 @@
 #include <sstream>
 
 #include "harness.hpp"
+#include "native/jit.hpp"
 
 namespace f90d {
 namespace {
@@ -254,6 +255,9 @@ Arrays oracle_run(const FuzzProg& pr) {
 struct SimArrays {
   Arrays ar;
   double sim_time = 0;
+  /// Rank-0 kernel runs beyond one per regular plan lookup: gathers,
+  /// scatters and needs enumerations that ran on a kernel.
+  long long irregular_kernel_runs = 0;
 };
 
 SimArrays sim_run(const FuzzProg& pr, const interp::RunOptions& ro) {
@@ -278,6 +282,7 @@ SimArrays sim_run(const FuzzProg& pr, const interp::RunOptions& ro) {
   out.ar.b = r.real_arrays.at("B");
   out.ar.c = r.real_arrays.at("C");
   out.sim_time = r.machine.exec_time;
+  out.irregular_kernel_runs = r.native_runs - r.plan_hits - r.plan_misses;
   return out;
 }
 
@@ -311,6 +316,7 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
     count = std::atoi(s);
 
   std::mt19937 rng(seed);
+  long long irregular_kernel_runs = 0;
   for (int k = 0; k < count; ++k) {
     const FuzzProg pr = gen_prog(rng);
     const Arrays want = oracle_run(pr);
@@ -334,6 +340,7 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
       EXPECT_TRUE(same_arrays(native.ar, plan.ar, &why))
           << "native vs plan: " << why;
       EXPECT_DOUBLE_EQ(native.sim_time, plan.sim_time);
+      irregular_kernel_runs += native.irregular_kernel_runs;
     }
 
     if (::testing::Test::HasFailure()) {
@@ -342,6 +349,10 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
                     << render_prog(pr);
       break;
     }
+  }
+  // The native legs exercised the PARTI kernels, not just regular plans.
+  if (native::NativeCache::instance().available() && count >= 50) {
+    EXPECT_GT(irregular_kernel_runs, 0);
   }
 }
 

@@ -10,7 +10,9 @@
 // GTEST_SKIP on NativeCache::available() instead.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "harness.hpp"
 #include "native/jit.hpp"
@@ -101,15 +103,23 @@ TEST_P(NativeBackendSweep, FftButterfly) {
 }
 
 TEST_P(NativeBackendSweep, IrregularStaysOnParti) {
-  // The vector-subscript kernel is structurally outside the planner, so
-  // the native backend never even sees a plan for it.
+  // The vector-subscript kernel stays a PARTI gather and scatter (same
+  // schedules, same messages), planned as an irregular
+  // inspector/executor: the native rung runs its needs enumeration and
+  // its executor as kernels of one translation unit.
   auto nat = harness::run_irregular(24, 2, nprocs(), backend_native());
   auto tree = harness::run_irregular(24, 2, nprocs(), backend_tree());
   ASSERT_EQ(nat.got.size(), tree.got.size());
   for (size_t k = 0; k < nat.got.size(); ++k)
     ASSERT_EQ(nat.got[k], tree.got[k]) << "irregular element " << k;
+  EXPECT_EQ(nat.sim_time, tree.sim_time);
   EXPECT_LE(harness::max_abs_diff(tree), 1e-9);
-  EXPECT_EQ(nat.native_runs, 0);
+  if (native_available()) {
+    // One needs enumeration (the schedule is built once) plus one
+    // executor run per step.
+    EXPECT_EQ(nat.native_runs, 3);
+    EXPECT_EQ(nat.native_fallbacks, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -159,6 +169,79 @@ TEST(NativeBackend, PlanBackendCollectsNoNativeStats) {
   EXPECT_EQ(r.native_runs, 0);
   EXPECT_EQ(r.native_attaches, 0);
   EXPECT_EQ(r.native_fallbacks, 0);
+}
+
+// --- intrinsics ---------------------------------------------------------------
+
+TEST(NativeBackend, IntrinsicsBitIdenticalAcrossRungs) {
+  // Every intrinsic the lowerer emits as a __builtin_ call (ABS, SQRT,
+  // EXP, LOG, SIN, COS, real MOD, NINT, real **) must round exactly like
+  // the tape's std:: calls and the tree walk: arrays bit-identical, clocks
+  // equal, every statement on a kernel.
+  const char* src = R"(PROGRAM INTRIN
+      INTEGER N
+      PARAMETER (N = 45)
+      REAL A(N)
+      REAL B(N)
+      REAL C(N)
+      REAL D(N)
+      REAL E(N)
+      REAL F(N)
+      REAL G(N)
+      INTEGER K(N)
+C$ PROCESSORS P(3)
+C$ TEMPLATE T(N)
+C$ DISTRIBUTE T(CYCLIC(2))
+C$ ALIGN A(I) WITH T(I)
+C$ ALIGN B(I) WITH T(I)
+C$ ALIGN C(I) WITH T(I)
+C$ ALIGN D(I) WITH T(I)
+C$ ALIGN E(I) WITH T(I)
+C$ ALIGN F(I) WITH T(I)
+C$ ALIGN G(I) WITH T(I)
+C$ ALIGN K(I) WITH T(I)
+      FORALL (I = 1:N) B(I) = ABS(A(I)) + SQRT(ABS(A(I)) * 1.3)
+      FORALL (I = 1:N) C(I) = EXP(A(I) * 0.37) - LOG(ABS(A(I)) + 0.11)
+      FORALL (I = 1:N) D(I) = SIN(A(I) * 1.7) * COS(A(I) + 0.5)
+      FORALL (I = 1:N) E(I) = MOD(A(I) * 2.9, 1.75) + MOD(A(I), -0.3)
+      FORALL (I = 1:N) K(I) = NINT(A(I) * 3.3) + NINT(B(I))
+      FORALL (I = 1:N) F(I) = ABS(A(I)) ** 1.37 + A(I) ** 2.0
+      FORALL (I = 1:N) G(I) = (ABS(C(I)) + 0.5) ** D(I) + E(I) ** 3
+      END PROGRAM INTRIN
+)";
+  auto run = [&](const interp::RunOptions& ro) {
+    auto compiled = compile::compile_source(src);
+    machine::SimMachine m = harness::make_machine(3);
+    interp::Init init;
+    init.real["A"] = [](std::span<const Index> g) {
+      return (static_cast<double>(g[0]) - 21.5) * 0.731 + 1.0 / 3.0;
+    };
+    return interp::run_compiled(compiled, m, init, ro);
+  };
+  const auto tree = run(backend_tree());
+  const auto plan = run(backend_plan());
+  const auto nat = run(backend_native());
+  for (const char* a : {"A", "B", "C", "D", "E", "F", "G"}) {
+    const auto& t = tree.real_arrays.at(a);
+    const auto& p = plan.real_arrays.at(a);
+    const auto& n = nat.real_arrays.at(a);
+    ASSERT_EQ(t.size(), 45u);
+    for (size_t k = 0; k < t.size(); ++k) {
+      ASSERT_TRUE(std::isfinite(t[k])) << a << "(" << k + 1 << ")";
+      EXPECT_EQ(std::memcmp(&t[k], &p[k], sizeof(double)), 0)
+          << a << "(" << k + 1 << ") tree vs plan";
+      EXPECT_EQ(std::memcmp(&p[k], &n[k], sizeof(double)), 0)
+          << a << "(" << k + 1 << ") plan vs native";
+    }
+  }
+  EXPECT_EQ(tree.int_arrays.at("K"), plan.int_arrays.at("K"));
+  EXPECT_EQ(plan.int_arrays.at("K"), nat.int_arrays.at("K"));
+  EXPECT_EQ(tree.machine.exec_time, plan.machine.exec_time);
+  EXPECT_EQ(plan.machine.exec_time, nat.machine.exec_time);
+  if (native_available()) {
+    EXPECT_EQ(nat.native_runs, 7);
+    EXPECT_EQ(nat.native_fallbacks, 0);
+  }
 }
 
 // --- invalidation contract on the native path --------------------------------

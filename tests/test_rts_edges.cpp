@@ -726,5 +726,58 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+/// Replicated arrays written element by element in a DO loop gather as
+/// processor 0's own copy (the other processors pack and send nothing)
+/// and equal a sequential oracle on every grid from 1x1 to 4x4, on the
+/// tree and plan rungs alike.  D is distributed and reads both, so the
+/// copies also feed a planned statement.
+TEST(ReplicatedGather, DoLoopWrittenArraysMatchOracleOnEveryGrid) {
+  const int n = 7;
+  std::vector<long long> m(n);
+  std::vector<double> r(static_cast<size_t>(n) * 3), d(n * n);
+  for (int i = 1; i <= n; ++i) {
+    m[static_cast<size_t>(i - 1)] = i * i - 3;
+    for (int j = 1; j <= 3; ++j)
+      r[static_cast<size_t>((i - 1) * 3 + j - 1)] =
+          0.5 * i + j + static_cast<double>(m[static_cast<size_t>(i - 1)]);
+  }
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < n; ++j)
+      d[static_cast<size_t>(i * n + j)] =
+          r[static_cast<size_t>(i * 3)] + static_cast<double>(m[static_cast<size_t>(j)]);
+  for (int p = 1; p <= 4; ++p)
+    for (int q = 1; q <= 4; ++q)
+      for (bool plans : {false, true}) {
+        const std::string src = strformat(R"(PROGRAM REPL
+      INTEGER N
+      PARAMETER (N = %d)
+      REAL R(N, 3)
+      INTEGER M(N)
+      REAL D(N, N)
+      INTEGER I
+      INTEGER J
+C$ PROCESSORS P(%d, %d)
+C$ TEMPLATE T(N, N)
+C$ DISTRIBUTE T(BLOCK, BLOCK)
+C$ ALIGN D(I, J) WITH T(I, J)
+      DO I = 1, N
+        M(I) = I * I - 3
+        DO J = 1, 3
+          R(I, J) = 0.5 * I + J + M(I)
+        END DO
+      END DO
+      FORALL (I = 1:N, J = 1:N) D(I, J) = R(I, 1) + M(J)
+      END PROGRAM REPL
+)", n, p, q);
+        interp::RunOptions ro;
+        ro.exec_plans = plans;
+        const auto res = harness::run_source(src, {}, ro);
+        const std::string at = strformat("%dx%d plans=%d", p, q, plans);
+        EXPECT_EQ(res.int_arrays.at("M"), m) << at;
+        EXPECT_EQ(res.real_arrays.at("R"), r) << at;
+        EXPECT_EQ(res.real_arrays.at("D"), d) << at;
+      }
+}
+
 }  // namespace
 }  // namespace f90d
