@@ -70,6 +70,14 @@ enum class CommKind {
 
 [[nodiscard]] const char* to_string(CommKind k);
 
+/// The pre actions that fill an iteration buffer through a PARTI schedule
+/// (precomp_read, temporary_shift, gather).  They run after every other
+/// pre action: their subscripts may read what those deliver.
+[[nodiscard]] inline bool is_schedule_read(CommKind k) {
+  return k == CommKind::kPrecompRead || k == CommKind::kGather ||
+         k == CommKind::kTemporaryShift;
+}
+
 struct CommAction {
   CommKind kind = CommKind::kPrecompRead;
   int ref_id = -1;     ///< which RefInfo this action serves (reads)

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "compile/affine.hpp"
+#include "exec/exec_plan.hpp"
 #include "native/jit.hpp"
 #include "rts/remap.hpp"
 #include "support/diag.hpp"
@@ -117,37 +118,66 @@ bool expr_bakeable(const Expr& e, const Env& env,
   return true;
 }
 
-void collect_vars(const Expr& e, const std::set<std::string>& among,
-                  std::set<std::string>& out) {
-  if (e.kind == ExprKind::kVarRef && among.count(e.name)) out.insert(e.name);
-  for (const ExprPtr& a : e.args)
-    if (a) collect_vars(*a, among, out);
+/// Flat byte offset of global element `g` (0-based, in range) in this
+/// processor's storage, owned or in the overlap area.  Mirrors
+/// DistArray::at_global_ghost, requires and all: owned cells resolve
+/// through mu, BLOCK ghost cells through the block origin.
+Index ghost_offset(const ArrayView& v, const std::vector<int>& coords,
+                   std::span<const Index> g) {
+  const Dad& dad = *v.dad;
+  Index off = 0;
+  for (int d = 0; d < dad.rank(); ++d) {
+    const DimMap& m = dad.dim(d);
+    const Index gd = g[static_cast<size_t>(d)];
+    Index l = gd;
+    if (m.kind != DistKind::kCollapsed) {
+      const int c = coords[static_cast<size_t>(m.grid_dim)];
+      if (dad.owns(d, gd, c)) {
+        l = dad.local_of_global(d, gd);
+      } else {
+        require(m.kind == DistKind::kBlock && m.align_stride == 1,
+                "ghost access needs BLOCK with unit alignment stride");
+        require(v.lext[static_cast<size_t>(d)] > 0,
+                "ghost access on a non-empty block");
+        l = gd - dad.global_of_local(d, 0, c);
+      }
+    }
+    const Index shifted = l + m.overlap_lo;
+    require(shifted >= 0 && shifted < v.aext[static_cast<size_t>(d)],
+            "local index within allocated extent (incl. overlap)");
+    off += shifted * v.stride[static_cast<size_t>(d)];
+  }
+  return off * static_cast<Index>(v.elem);
 }
 
-/// Per-dimension local index of a global index, mirroring
-/// DistArray::at_global_ghost (owned cells resolve through mu, BLOCK ghost
-/// cells through the block origin).  Returns false exactly when the legacy
-/// access would fail its own requires — the caller declines to the legacy
-/// action, which reproduces the original diagnostic.
-bool ghost_local(const ArrayView& v, const std::vector<int>& coords, int d,
-                 Index gd, Index& l) {
-  const Dad& dad = *v.dad;
-  const DimMap& m = dad.dim(d);
-  if (gd < 0 || gd >= dad.extent(d)) return false;
-  if (m.kind == DistKind::kCollapsed) {
-    l = gd;
-  } else {
-    const int c = coords[static_cast<size_t>(m.grid_dim)];
-    if (dad.owns(d, gd, c)) {
-      l = dad.local_of_global(d, gd);
-    } else {
-      if (m.kind != DistKind::kBlock || m.align_stride != 1) return false;
-      if (v.lext[static_cast<size_t>(d)] <= 0) return false;
-      l = gd - dad.global_of_local(d, 0, c);
+/// 0-based global index of subscript value `sub` in dimension `d` of
+/// `array`, or the out-of-range diagnostic every rung raises.
+Index global_sub(const Env& env, const std::string& array, int d, Index sub) {
+  const long long lower = env.lower_of(array, d);
+  const Index extent = env.dads.at(array).extent(d);
+  const Index g = sub - lower;
+  if (g < 0 || g >= extent) throw subscript_error(sub, array, lower, extent, d);
+  return g;
+}
+
+/// One element of REAL, INTEGER or LOGICAL storage as the double the wire
+/// carries.
+double load_double(ElemTy ty, const char* p) {
+  switch (ty) {
+    case ElemTy::kReal: {
+      double v = 0;
+      std::memcpy(&v, p, sizeof(double));
+      return v;
     }
+    case ElemTy::kInt: {
+      long long v = 0;
+      std::memcpy(&v, p, sizeof(long long));
+      return static_cast<double>(v);
+    }
+    case ElemTy::kLogical:
+      return *reinterpret_cast<const unsigned char*>(p) != 0 ? 1.0 : 0.0;
   }
-  const Index shifted = l + m.overlap_lo;
-  return shifted >= 0 && shifted < v.aext[static_cast<size_t>(d)];
+  return 0;
 }
 
 /// Build a strided-copy descriptor over the region [base_l, base_l+count)
@@ -217,7 +247,6 @@ native::KernelFn CommPlans::kernel(const std::string& source) const {
 void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
                          bool to_buffer, native::KernelFn k) {
   if (d.runs <= 0 || d.chunk <= 0) return;
-  if (d.chunk > d.elem) stats_.bytes_memcpy_fast_path += d.total;
   if (k != nullptr) {
     call_copy_kernel(k, d, storage, buf);
     return;
@@ -256,21 +285,25 @@ void CommPlans::run_copy(const CopyDesc& d, char* storage, std::byte* buf,
 
 // --- overlap shift -----------------------------------------------------------
 
-bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
-                            ShiftPlan& out) {
+CommPlans::ShiftPlan CommPlans::build_shift(const CommAction& a,
+                                            const RefInfo& ref, bool cached) {
+  ShiftPlan out;
+  out.cached = cached;
   ArrayView v;
-  if (!resolve_view(*env_, ref.array, v)) return false;
+  require(resolve_view(*env_, ref.array, v), "shifted array is allocated");
   const Dad& dad = *v.dad;
   const int d = a.array_dim;
   const int amount = static_cast<int>(a.shift_amount);
   const DimMap& m = dad.dim(d);
   if (m.kind == DistKind::kCollapsed || amount == 0) {
-    out.noop = true;  // the legacy primitive returns before taking a tag
-    return true;
+    out.noop = true;  // the primitive returns before taking a tag
+    return out;
   }
-  if (m.kind != DistKind::kBlock) return false;
+  // rts::overlap_shift's preconditions, with its diagnostics.
+  require(m.kind == DistKind::kBlock, "overlap_shift needs BLOCK dimension");
   const int c = amount > 0 ? amount : -amount;
-  if (c > (amount > 0 ? m.overlap_hi : m.overlap_lo)) return false;
+  require(c <= (amount > 0 ? m.overlap_hi : m.overlap_lo),
+          "overlap_shift amount within declared overlap width");
 
   out.grid_dim = m.grid_dim;
   out.offset = amount > 0 ? -1 : +1;
@@ -304,24 +337,43 @@ bool CommPlans::build_shift(const CommAction& a, const RefInfo& ref,
   const int src = gc.coord(out.grid_dim) - out.offset;
   out.expect_recv = n > 1 && src >= 0 && src < n;
 
-  out.pack_kernel = kernel(native::lower_copy_kernel(
-      static_cast<int>(out.pack.counts.size()), /*pack=*/true));
-  out.unpack_kernel = kernel(native::lower_copy_kernel(
-      static_cast<int>(out.unpack.counts.size()), /*pack=*/false));
-  return true;
+  if (cached) {
+    out.pack_kernel = kernel(native::lower_copy_kernel(
+        static_cast<int>(out.pack.counts.size()), /*pack=*/true));
+    out.unpack_kernel = kernel(native::lower_copy_kernel(
+        static_cast<int>(out.unpack.counts.size()), /*pack=*/false));
+  }
+  return out;
 }
 
 void CommPlans::run_shift(ShiftPlan& p) {
   if (p.noop) return;
-  machine::Proc& proc = env_->gc.proc();
-  std::vector<std::byte> payload =
-      proc.acquire_payload(static_cast<size_t>(p.pack.total));
-  run_copy(p.pack, p.base, payload.data(), /*to_buffer=*/true, p.pack_kernel);
-  std::vector<std::byte> received = env_->gc.shift_exchange_bytes(
-      p.grid_dim, p.offset, std::move(payload), /*circular=*/false);
+  comm::GridComm& gc = env_->gc;
+  machine::Proc& proc = gc.proc();
+  auto count_fast = [&](const CopyDesc& d) {
+    if (p.cached && d.runs > 0 && d.chunk > d.elem)
+      stats_.bytes_memcpy_fast_path += d.total;
+  };
+  std::vector<std::byte> received;
+  if (p.cached) {
+    std::vector<std::byte> payload =
+        proc.acquire_payload(static_cast<size_t>(p.pack.total));
+    count_fast(p.pack);
+    run_copy(p.pack, p.base, payload.data(), /*to_buffer=*/true,
+             p.pack_kernel);
+    received = gc.shift_exchange_bytes(p.grid_dim, p.offset,
+                                       std::move(payload), /*circular=*/false);
+  } else {
+    std::vector<std::byte> slab(static_cast<size_t>(p.pack.total));
+    run_copy(p.pack, p.base, slab.data(), /*to_buffer=*/true, nullptr);
+    received = gc.shift_exchange<std::byte>(
+        p.grid_dim, p.offset, std::span<const std::byte>(slab),
+        /*circular=*/false);
+  }
   if (!received.empty()) {
     require(static_cast<Index>(received.size()) >= p.unpack.total,
             "overlap_shift: slab size matches ghost");
+    count_fast(p.unpack);
     run_copy(p.unpack, p.base, received.data(), /*to_buffer=*/false,
              p.unpack_kernel);
   }
@@ -329,26 +381,21 @@ void CommPlans::run_shift(ShiftPlan& p) {
   // here on the message; it joins this processor's pool.  Edge processors
   // that received nothing hold a default vector — pooling that would stack
   // useless zero-capacity entries.
-  if (p.expect_recv) proc.release_payload(std::move(received));
+  if (p.cached && p.expect_recv) proc.release_payload(std::move(received));
 }
 
 // --- element broadcast -------------------------------------------------------
 
-bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
-                            std::span<const std::string> key_names,
-                            BcastPlan& out) {
+CommPlans::BcastPlan CommPlans::build_bcast(const CommAction& a,
+                                            const RefInfo& ref) {
+  BcastPlan out;
   ArrayView v;
-  if (!resolve_view(*env_, ref.array, v)) return false;
+  require(resolve_view(*env_, ref.array, v), "broadcast array is allocated");
   const Dad& dad = *v.dad;
-  const std::set<std::string> none;
-  std::vector<Index> g(ref.subs.size());
-  for (size_t d = 0; d < ref.subs.size(); ++d) {
-    const Expr& e = *ref.expr->args[d];
-    if (!expr_bakeable(e, *env_, key_names, none)) return false;
-    g[d] = hooks_.eval(e).as_i() -
-           env_->lower_of(ref.array, static_cast<int>(d));
-    if (g[d] < 0 || g[d] >= dad.extent(static_cast<int>(d))) return false;
-  }
+  std::vector<Index> g(ref.expr->args.size());
+  for (size_t d = 0; d < g.size(); ++d)
+    g[d] = global_sub(*env_, ref.array, static_cast<int>(d),
+                      hooks_.eval(*ref.expr->args[d]).as_i());
   const std::vector<int> zeros(
       static_cast<size_t>(env_->compiled.mapping.grid.ndims()), 0);
   out.root = dad.owner_logical(g, zeros);
@@ -356,44 +403,17 @@ bool CommPlans::build_bcast(const CommAction& a, const RefInfo& ref,
   out.ty = v.ty;
   out.buffer_id = a.buffer_id;
   if (out.is_root) {
-    Index flat = 0;
-    for (int d = 0; d < dad.rank(); ++d) {
-      const Index l = dad.local_of_global(d, g[static_cast<size_t>(d)]);
-      const Index shifted = l + dad.dim(d).overlap_lo;
-      if (shifted < 0 || shifted >= v.aext[static_cast<size_t>(d)])
-        return false;
-      flat += shifted * v.stride[static_cast<size_t>(d)];
-    }
     out.base = v.base;
-    out.byte_off = flat * static_cast<Index>(v.elem);
+    out.byte_off = ghost_offset(v, env_->gc.my_coords(), g);
   }
   out.scratch.reserve(1);
-  return true;
+  return out;
 }
 
 void CommPlans::run_bcast(BcastPlan& p) {
   std::vector<double>& data = p.scratch;
   data.clear();
-  if (p.is_root) {
-    double val = 0;
-    switch (p.ty) {
-      case ElemTy::kReal:
-        std::memcpy(&val, p.base + p.byte_off, sizeof(double));
-        break;
-      case ElemTy::kInt: {
-        long long iv = 0;
-        std::memcpy(&iv, p.base + p.byte_off, sizeof(long long));
-        val = static_cast<double>(iv);
-        break;
-      }
-      case ElemTy::kLogical:
-        val = *reinterpret_cast<const unsigned char*>(p.base + p.byte_off) != 0
-                  ? 1.0
-                  : 0.0;
-        break;
-    }
-    data.push_back(val);
-  }
+  if (p.is_root) data.push_back(load_double(p.ty, p.base + p.byte_off));
   env_->gc.bcast_all(p.root, data);
   Buf& b = env_->bufs[static_cast<size_t>(p.buffer_id)];
   b.scalar = p.ty == ElemTy::kInt
@@ -403,152 +423,86 @@ void CommPlans::run_bcast(BcastPlan& p) {
 
 // --- slab multicast / transfer ----------------------------------------------
 
-bool CommPlans::build_slab(const SpmdStmt& s, const CommAction& a,
-                           const RefInfo& ref,
-                           std::span<const std::string> key_names,
-                           SlabPlan& out) {
+CommPlans::SlabPlan CommPlans::build_slab(const SpmdStmt& s,
+                                          const CommAction& a,
+                                          const RefInfo& ref) {
+  SlabPlan out;
   ArrayView v;
-  if (!resolve_view(*env_, ref.array, v)) return false;
-  // Slab buffers are double-typed end to end (Buf::dvals); the tree walk
-  // has the same restriction.
-  if (v.ty != ElemTy::kReal) return false;
+  require(resolve_view(*env_, ref.array, v), "slab array is allocated");
   const Dad& dad = *v.dad;
   const comm::GridComm& gc = env_->gc;
-  const std::set<std::string> none;
 
   bool on_root = true;
   for (const auto& [d, sub] : a.root_subs) {
-    const ExprPtr e = compile::affine_to_expr(sub);
-    if (!expr_bakeable(*e, *env_, key_names, none)) return false;
-    const Index val = hooks_.eval(*e).as_i() - env_->lower_of(ref.array, d);
-    if (val < 0 || val >= dad.extent(d)) return false;
+    const Index val = global_sub(
+        *env_, ref.array, d,
+        hooks_.eval(*compile::affine_to_expr(sub)).as_i());
     const int owner = dad.owner_coord(d, val);
     const int gd = dad.dim(d).grid_dim;
     out.comm_dims.emplace_back(gd, owner);
     on_root = on_root && gc.coord(gd) == owner;
   }
-  out.on_root = on_root;
   out.is_transfer = a.kind == CommKind::kTransfer;
   out.ty = v.ty;
   out.base = v.base;
   out.buffer_id = a.buffer_id;
 
   if (out.is_transfer) {
+    // Transfer: source line -> destination line given by the lhs pair.
+    const std::string& lhs = s.refs[0].array;
     for (size_t k = 0; k < out.comm_dims.size(); ++k) {
       int dest = out.comm_dims[k].second;
       if (k < a.dest_subs.size()) {
         const auto& [ld, dsub] = a.dest_subs[k];
-        const Dad& ldad = env_->dads.at(s.refs[0].array);
-        const ExprPtr e = compile::affine_to_expr(dsub);
-        if (!expr_bakeable(*e, *env_, key_names, none)) return false;
-        const Index dval =
-            hooks_.eval(*e).as_i() - env_->lower_of(s.refs[0].array, ld);
-        if (dval < 0 || dval >= ldad.extent(ld)) return false;
-        dest = ldad.owner_coord(ld, dval);
+        const Index dval = global_sub(
+            *env_, lhs, ld, hooks_.eval(*compile::affine_to_expr(dsub)).as_i());
+        dest = env_->dads.at(lhs).owner_coord(ld, dval);
       }
       out.dest_coords.push_back(dest);
     }
   }
 
-  // Iteration ranges of the slab variables (identical on source line and
-  // destinations).  Their bounds must be key-covered too: a parametric
-  // plan's key leaves out bound scalars it re-reads at bind time, and the
-  // slab's size and offset tables would go stale with them.
-  for (const compile::IndexPartition& ip : s.indices) {
-    if (std::find(ref.slab_vars.begin(), ref.slab_vars.end(), ip.var) ==
-        ref.slab_vars.end())
-      continue;
-    for (const ExprPtr* e : {&ip.lo, &ip.hi, &ip.st})
-      if (*e && !expr_bakeable(**e, *env_, key_names, none)) return false;
-  }
+  // The slab covers the iterating ranges of the slab variables; those
+  // ranges are identical on the source line and the destination(s).
   const std::vector<CommRange> all = hooks_.ranges(s);
-  std::vector<CommRange> slab_ranges;
+  std::vector<const CommRange*> ranges;
   for (const std::string& vn : ref.slab_vars)
     for (size_t k = 0; k < s.indices.size(); ++k)
-      if (s.indices[k].var == vn) slab_ranges.push_back(all[k]);
-  if (slab_ranges.size() != ref.slab_vars.size()) return false;
+      if (s.indices[k].var == vn) ranges.push_back(&all[k]);
+  require(ranges.size() == ref.slab_vars.size(),
+          "slab variables are forall indices");
   Index slab_size = 1;
-  for (const CommRange& r : slab_ranges) slab_size *= r.count;
-  out.slab_size = slab_size;
+  for (const CommRange* r : ranges) slab_size *= r->count;
+  if (!on_root || slab_size <= 0) return out;
 
-  if (!(out.on_root && slab_size > 0)) return true;
-
-  // Per-variable byte-offset tables: each subscript dimension is a function
-  // of at most one slab variable, so the flat offset decomposes into a
-  // constant part plus one table contribution per variable (a variable
-  // driving several dimensions sums both into its table).  Tables hold the
-  // *actual* local offsets per iteration value, so non-affine locals
-  // (CYCLIC(k) course seams) are exact by construction.
-  const size_t nv = ref.slab_vars.size();
-  const std::set<std::string> svars(ref.slab_vars.begin(),
-                                    ref.slab_vars.end());
-  out.counts.resize(nv);
-  out.tabs.assign(nv, {});
-  for (size_t k = 0; k < nv; ++k) {
-    out.counts[k] = slab_ranges[k].count;
-    out.tabs[k].assign(static_cast<size_t>(out.counts[k]), 0);
-  }
-  Index base_off = 0;
-  for (size_t dd = 0; dd < ref.expr->args.size(); ++dd) {
-    const Expr& e = *ref.expr->args[dd];
-    if (!expr_bakeable(e, *env_, key_names, svars)) return false;
-    std::set<std::string> used;
-    collect_vars(e, svars, used);
-    if (used.size() > 1) return false;  // non-separable subscript
-    const int d = static_cast<int>(dd);
-    const long long lower = env_->lower_of(ref.array, d);
-    if (used.empty()) {
-      const Index gd = hooks_.eval(e).as_i() - lower;
-      Index l = 0;
-      if (!ghost_local(v, gc.my_coords(), d, gd, l)) return false;
-      base_off += (l + dad.dim(d).overlap_lo) * v.stride[dd] *
-                  static_cast<Index>(v.elem);
-    } else {
-      const std::string& vn = *used.begin();
-      const size_t k = static_cast<size_t>(
-          std::find(ref.slab_vars.begin(), ref.slab_vars.end(), vn) -
-          ref.slab_vars.begin());
-      for (Index i = 0; i < out.counts[k]; ++i) {
-        const Index val = slab_ranges[k].value_at(i);
-        const Index gd = hooks_.eval_bound(e, vn, val).as_i() - lower;
-        Index l = 0;
-        if (!ghost_local(v, gc.my_coords(), d, gd, l)) return false;
-        out.tabs[k][static_cast<size_t>(i)] +=
-            (l + dad.dim(d).overlap_lo) * v.stride[dd] *
-            static_cast<Index>(v.elem);
-      }
+  // One byte offset per element: a subscript may combine several slab
+  // variables (I+J in a collapsed dimension), so the table is taken over
+  // the whole slab rather than per variable.
+  const size_t nv = ranges.size();
+  std::vector<Index> c(nv, 0), vals(nv);
+  std::vector<Index> g(ref.expr->args.size());
+  out.offs.reserve(static_cast<size_t>(slab_size));
+  for (Index k = 0; k < slab_size; ++k) {
+    for (size_t j = 0; j < nv; ++j) vals[j] = ranges[j]->value_at(c[j]);
+    for (size_t d = 0; d < g.size(); ++d)
+      g[d] = global_sub(
+          *env_, ref.array, static_cast<int>(d),
+          hooks_.eval_bound(*ref.expr->args[d], ref.slab_vars, vals).as_i());
+    out.offs.push_back(ghost_offset(v, gc.my_coords(), g));
+    for (size_t j = nv; j-- > 0;) {  // odometer, last variable fastest
+      if (++c[j] < ranges[j]->count) break;
+      c[j] = 0;
     }
   }
-  out.base_off = base_off;
-  return true;
+  return out;
 }
 
 void CommPlans::run_slab(SlabPlan& p) {
   Buf& b = env_->bufs[static_cast<size_t>(p.buffer_id)];
   std::vector<double>& slab = b.dvals;
-  slab.clear();
-  if (p.on_root && p.slab_size > 0) {
-    slab.reserve(static_cast<size_t>(p.slab_size));
-    const size_t nv = p.counts.size();
-    std::vector<Index> c(nv, 0);
-    for (;;) {
-      Index off = p.base_off;
-      for (size_t k = 0; k < nv; ++k)
-        off += p.tabs[k][static_cast<size_t>(c[k])];
-      double val;
-      std::memcpy(&val, p.base + off, sizeof(double));
-      slab.push_back(val);
-      bool done = nv == 0;  // odometer, last variable fastest (SlabBuf order)
-      size_t k = nv;
-      while (k > 0) {
-        --k;
-        if (++c[k] < p.counts[k]) break;
-        c[k] = 0;
-        if (k == 0) done = true;
-      }
-      if (done) break;
-    }
-  }
+  slab.resize(p.offs.size());
+  for (size_t k = 0; k < p.offs.size(); ++k)
+    slab[k] = load_double(p.ty, p.base + p.offs[k]);
   comm::GridComm& gc = env_->gc;
   if (!p.is_transfer) {
     for (const auto& [gd, owner] : p.comm_dims) gc.multicast(gd, owner, slab);
@@ -569,71 +523,100 @@ void CommPlans::run_slab(SlabPlan& p) {
 
 // --- statement orchestration -------------------------------------------------
 
+bool CommPlans::outside_key(const SpmdStmt& s, const CommAction& a,
+                            const RefInfo& ref,
+                            std::span<const std::string> key_names) const {
+  const std::set<std::string> none;
+  auto baked = [&](const Expr& e, const std::set<std::string>& bound) {
+    return expr_bakeable(e, *env_, key_names, bound);
+  };
+  switch (a.kind) {
+    case CommKind::kBcastElement:
+      for (const ExprPtr& e : ref.expr->args)
+        if (!baked(*e, none)) return true;
+      return false;
+    case CommKind::kMulticast:
+    case CommKind::kTransfer: {
+      for (const auto& [d, sub] : a.root_subs)
+        if (!baked(*compile::affine_to_expr(sub), none)) return true;
+      for (const auto& [d, sub] : a.dest_subs)
+        if (!baked(*compile::affine_to_expr(sub), none)) return true;
+      // The slab variables' bounds fix the slab's size and offsets: a
+      // parametric plan's key leaves out bound scalars it re-reads at bind
+      // time.
+      for (const compile::IndexPartition& ip : s.indices) {
+        if (std::find(ref.slab_vars.begin(), ref.slab_vars.end(), ip.var) ==
+            ref.slab_vars.end())
+          continue;
+        for (const ExprPtr* e : {&ip.lo, &ip.hi, &ip.st})
+          if (*e && !baked(**e, none)) return true;
+      }
+      const std::set<std::string> svars(ref.slab_vars.begin(),
+                                        ref.slab_vars.end());
+      for (const ExprPtr& e : ref.expr->args)
+        if (!baked(*e, svars)) return true;
+      return false;
+    }
+    default:
+      return false;  // a shift bakes only storage geometry
+  }
+}
+
+CommPlans::Plan CommPlans::build_plan(const SpmdStmt* s, const CommAction& a,
+                                      const RefInfo& ref, bool cached) {
+  switch (a.kind) {
+    case CommKind::kOverlapShift:
+      return build_shift(a, ref, cached);
+    case CommKind::kBcastElement:
+      return build_bcast(a, ref);
+    case CommKind::kMulticast:
+    case CommKind::kTransfer:
+      require(s != nullptr, "slab action belongs to a statement");
+      return build_slab(*s, a, ref);
+    default:
+      throw RtsError("unexpected pre-action");
+  }
+}
+
 CommPlans::StmtPlan CommPlans::build_stmt(
     const SpmdStmt& s, std::span<const std::string> key_names) {
-  StmtPlan plan;
+  return build(s, &key_names);
+}
+
+CommPlans::StmtPlan CommPlans::build_once(const SpmdStmt& s) {
+  return build(s, nullptr);
+}
+
+CommPlans::StmtPlan CommPlans::build(
+    const SpmdStmt& s, const std::span<const std::string>* key_names) {
   std::vector<const CommAction*> order;
   for (const CommAction& a : s.pre)
     if (!a.eliminated) order.push_back(&a);
-  // The tree walk's dependency order: ghost fills / broadcasts / slabs
-  // first, then iteration buffers by descending ref id.
   std::stable_sort(order.begin(), order.end(),
                    [](const CommAction* x, const CommAction* y) {
-                     auto cls = [](CommKind k) {
-                       return k == CommKind::kPrecompRead ||
-                                      k == CommKind::kGather ||
-                                      k == CommKind::kTemporaryShift
-                                  ? 1
-                                  : 0;
-                     };
-                     if (cls(x->kind) != cls(y->kind))
-                       return cls(x->kind) < cls(y->kind);
+                     const bool rx = compile::is_schedule_read(x->kind);
+                     const bool ry = compile::is_schedule_read(y->kind);
+                     if (rx != ry) return ry;
                      return x->ref_id > y->ref_id;
                    });
+  const bool cached = key_names != nullptr;
+  StmtPlan plan;
   std::set<std::string> arrays;
   for (const CommAction* a : order) {
+    if (compile::is_schedule_read(a->kind)) {
+      plan.reads.push_back(a);
+      continue;
+    }
     const RefInfo& ref = s.refs[static_cast<size_t>(a->ref_id)];
     Slot slot;
     slot.action = a;
-    // A build failure — including a thrown runtime error (out-of-range
-    // subscript, non-affine sub, unowned element) — declines the slot; the
-    // legacy action then raises the original diagnostic at run time.
-    try {
-      switch (a->kind) {
-        case CommKind::kOverlapShift: {
-          ShiftPlan p;
-          if (build_shift(*a, ref, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-          }
-          break;
-        }
-        case CommKind::kBcastElement: {
-          BcastPlan p;
-          if (build_bcast(*a, ref, key_names, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-          }
-          break;
-        }
-        case CommKind::kMulticast:
-        case CommKind::kTransfer: {
-          SlabPlan p;
-          if (build_slab(s, *a, ref, key_names, p)) {
-            slot.plan = std::move(p);
-            arrays.insert(ref.array);
-            if (a->kind == CommKind::kTransfer && !s.refs.empty())
-              arrays.insert(s.refs[0].array);  // dest coords bake the lhs DAD
-          }
-          break;
-        }
-        default:
-          // Schedule-backed read buffers run through gather_via_schedule
-          // (their executors are compiled separately, keyed by schedule).
-          break;
+    if (!cached || !outside_key(s, *a, ref, *key_names)) {
+      slot.plan = build_plan(&s, *a, ref, cached);
+      if (cached) {
+        arrays.insert(ref.array);
+        if (a->kind == CommKind::kTransfer)
+          arrays.insert(s.refs[0].array);  // dest coords bake the lhs DAD
       }
-    } catch (const Error&) {
-      slot.plan = LegacySlot{};
     }
     plan.slots.push_back(std::move(slot));
   }
@@ -642,18 +625,30 @@ CommPlans::StmtPlan CommPlans::build_stmt(
 }
 
 void CommPlans::run_pre(const SpmdStmt& s, StmtPlan& plan) {
-  for (Slot& slot : plan.slots) run_slot(s, slot);
+  for (Slot& slot : plan.slots) {
+    if (std::holds_alternative<std::monostate>(slot.plan)) {
+      const CommAction& a = *slot.action;
+      Plan fresh =
+          build_plan(&s, a, s.refs[static_cast<size_t>(a.ref_id)], false);
+      run_plan(fresh);
+    } else {
+      run_plan(slot.plan);
+    }
+  }
 }
 
-void CommPlans::run_slot(const SpmdStmt& s, Slot& slot) {
-  if (std::holds_alternative<ShiftPlan>(slot.plan))
-    run_shift(std::get<ShiftPlan>(slot.plan));
-  else if (std::holds_alternative<BcastPlan>(slot.plan))
-    run_bcast(std::get<BcastPlan>(slot.plan));
-  else if (std::holds_alternative<SlabPlan>(slot.plan))
-    run_slab(std::get<SlabPlan>(slot.plan));
-  else
-    hooks_.legacy(s, *slot.action);
+void CommPlans::run_hoisted(const compile::PreheaderAction& pa) {
+  Plan p = build_plan(nullptr, pa.action, pa.ref, false);
+  run_plan(p);
+}
+
+void CommPlans::run_plan(Plan& p) {
+  if (auto* shift = std::get_if<ShiftPlan>(&p))
+    run_shift(*shift);
+  else if (auto* bcast = std::get_if<BcastPlan>(&p))
+    run_bcast(*bcast);
+  else if (auto* slab = std::get_if<SlabPlan>(&p))
+    run_slab(*slab);
 }
 
 // --- PARTI executors ---------------------------------------------------------

@@ -1,13 +1,14 @@
 #pragma once
 // CommPlans: compiled communication plans — the comm-side counterpart of
-// the execution-plan layer (exec/exec_plan.hpp).
+// the execution-plan layer (exec/exec_plan.hpp), and the only code that
+// runs a regular pre-communication action on any rung.
 //
-// The tree-walking pre-communication actions re-derive the same facts on
-// every trip of a DO loop: which neighbour an overlap_shift talks to, which
-// storage cells form the boundary slab, which processor owns a broadcast
-// element, which local offsets a slab multicast packs, which owned cells a
-// PARTI executor pushes per peer.  A CommPlan resolves all of it once per
-// (statement × processor × baked runtime scalars) into flat descriptors:
+// A pre-communication action needs facts that re-deriving on every DO trip
+// would waste: which neighbour an overlap_shift talks to, which storage
+// cells form the boundary slab, which processor owns a broadcast element,
+// which local offsets a slab multicast packs, which owned cells a PARTI
+// executor pushes per peer.  A CommPlan resolves all of it into flat
+// descriptors:
 //
 //   ShiftPlan   overlap_shift lowered to two strided-copy descriptors
 //               (pack boundary slab / unpack ghost area) whose innermost
@@ -15,21 +16,30 @@
 //               neighbour exchange;
 //   BcastPlan   element broadcast with the root and the root's flat
 //               storage offset resolved, reusing a persistent scratch;
-//   SlabPlan    multicast/transfer slab packing through per-(variable,dim)
-//               offset tables (real local_of_global per value, so BLOCK,
-//               CYCLIC(k) and collapsed dims all work), feeding the buffer
-//               vector in place;
+//   SlabPlan    multicast/transfer slab packing through a per-element
+//               byte-offset table (real local_of_global per value, so
+//               BLOCK, CYCLIC(k) and collapsed dims all work), converting
+//               REAL, INTEGER and LOGICAL storage to the doubles the wire
+//               carries, feeding the buffer vector in place;
 //   SchedExec   PARTI read/write executors with the per-peer global-id
 //               lists pre-resolved to flat byte offsets, packing pooled
 //               payload buffers (machine::PayloadPool) instead of typed
 //               temporaries.
 //
-// Faithfulness contract: a compiled plan issues exactly the collective
-// calls, tags, message sizes (including zero-byte sends), virtual-time
-// charges and element values of the tree-walk path it replaces — the plans
-// only remove host-side recomputation and heap churn.  Anything a plan
-// cannot bake faithfully is declined slot-by-slot and runs the legacy
-// action through a callback.
+// Two lifetimes share one builder.  A planned statement's StmtPlan is
+// built once per (statement × processor × baked runtime scalars) and
+// cached; a slot whose baked value would depend on anything outside that
+// key (the Gauss pivot K of a broadcast A(K,K), an array element in a slab
+// subscript) is rebuilt at every run instead.  The tree walk, skeleton
+// mode, DO preheaders and scalar assignments build a plan for the one
+// execution that needs it (build_once, run_hoisted): uncached, uncounted,
+// and never JIT-compiled.  Either way the plans issue exactly the
+// collective calls, tags, message sizes (including zero-byte sends),
+// virtual-time charges and element values the paper's primitives define;
+// tests/golden/traffic_*.txt pins them.  A malformed action raises the
+// primitive's diagnostic at build time: exec::subscript_error for an
+// out-of-range broadcast or slab subscript, the rts::overlap_shift
+// requires for a shift that does not fit its overlap area.
 //
 // Cache and invalidation contract: a statement's StmtPlan is one part of
 // its StmtCache entry (exec/stmt_cache.hpp), next to the execution plan it
@@ -82,15 +92,14 @@ struct CommHooks {
   /// Evaluate a scalar expression (DO variables and runtime scalars
   /// resolve; no forall frame is active during pre-communication).
   std::function<Value(const ast::Expr&)> eval;
-  /// Same, with one forall variable temporarily bound to `val` (offset
-  /// table construction).
-  std::function<Value(const ast::Expr&, const std::string&, Index)> eval_bound;
+  /// Same, with forall variables `vars` temporarily bound to `vals`
+  /// (offset table construction).
+  std::function<Value(const ast::Expr&, std::span<const std::string> vars,
+                      std::span<const Index> vals)>
+      eval_bound;
   /// ranges_for_coords_no_guards for this processor, one entry per
   /// s.indices element.
   std::function<std::vector<CommRange>(const compile::SpmdStmt&)> ranges;
-  /// Run one action through the tree walk (declined slots).
-  std::function<void(const compile::SpmdStmt&, const compile::CommAction&)>
-      legacy;
 };
 
 /// Strided copy between array storage and a packed buffer: `levels` outer
@@ -140,28 +149,46 @@ class CommPlans {
   struct Slot;
 
  public:
-  /// A statement's compiled pre-communication actions.
+  /// A statement's compiled pre-communication, in dependency order: ghost
+  /// fills, broadcasts and slabs first, then the schedule-based read
+  /// buffers by descending ref id (inner indirection arrays resolve before
+  /// the references that subscript with them).
   struct StmtPlan {
-    std::vector<Slot> slots;          ///< in run_pre_actions order
-    std::vector<std::string> arrays;  ///< storage the slots bake
+    std::vector<Slot> slots;  ///< overlap shifts, broadcasts and slabs
+    /// Schedule-based read buffers (precomp_read, temporary_shift,
+    /// gather): the caller runs them after the slots, through its PARTI
+    /// inspector/executor.
+    std::vector<const compile::CommAction*> reads;
+    std::vector<std::string> arrays;  ///< storage the cached slots bake
   };
 
-  /// Compile every non-eliminated pre-communication action of `s`, in the
-  /// tree walk's order.  `key_names` are the scalar names the statement's
-  /// cache key covers — a slot only bakes values derived from covered
-  /// scalars (anything else is declined to the legacy action, so a stale
-  /// bake is impossible by construction).
+  /// Compile every non-eliminated pre-communication action of `s` for the
+  /// statement cache.  `key_names` are the scalar names the statement's
+  /// cache key covers: a slot that would bake anything else is left
+  /// unbuilt and rebuilt at every run_pre, so a stale bake is impossible
+  /// by construction.
   StmtPlan build_stmt(const compile::SpmdStmt& s,
                       std::span<const std::string> key_names);
 
-  /// Run a built StmtPlan: compiled slots directly, declined slots through
-  /// the legacy hook.
+  /// Compile the pre-communication of `s` for this execution only.
+  StmtPlan build_once(const compile::SpmdStmt& s);
+
+  /// Run a built StmtPlan's slots (the caller runs `reads`).
   void run_pre(const compile::SpmdStmt& s, StmtPlan& plan);
+
+  /// Build and run one hoisted DO-preheader action (an overlap shift or an
+  /// element broadcast carrying its own RefInfo clone).
+  void run_hoisted(const compile::PreheaderAction& pa);
 
  private:
   // --- per-kind plans -------------------------------------------------------
   struct ShiftPlan {
     bool noop = false;  ///< collapsed dim / zero amount: consumes nothing
+    /// Cached plans exchange pooled payloads (every processor acquires,
+    /// edges release unsent) and count their memcpy bytes; per-execution
+    /// plans send through the typed exchange, whose pool accounting is that
+    /// of the rts::overlap_shift primitive.
+    bool cached = false;
     int grid_dim = 0;
     int offset = 0;           ///< exchange direction (-1 / +1)
     bool expect_recv = false; ///< baked edge test of shift_exchange
@@ -183,26 +210,27 @@ class CommPlans {
   };
 
   struct SlabPlan {
-    bool on_root = false;
     bool is_transfer = false;
     ElemTy ty = ElemTy::kReal;  ///< source storage type (the slab itself
-                                ///< packs as double, like the tree walk)
+                                ///< packs as double)
     const char* base = nullptr;
     std::vector<std::pair<int, int>> comm_dims;  ///< (grid_dim, root coord)
     std::vector<int> dest_coords;                ///< transfer destinations
-    Index slab_size = 0;
-    Index base_off = 0;                    ///< constant byte offset part
-    std::vector<Index> counts;             ///< per slab var (spec order)
-    std::vector<std::vector<Index>> tabs;  ///< per slab var: byte offsets
+    /// Source line only: the byte offset of every slab element in pack
+    /// order (odometer over the slab variables, last fastest — the SlabBuf
+    /// read order).  Empty off the source line or for an empty slab.
+    std::vector<Index> offs;
     int buffer_id = -1;
     std::vector<double> scratch;  ///< transfer receive side
   };
 
-  struct LegacySlot {};  ///< run through hooks_.legacy
+  /// monostate: the slot bakes a value outside its statement's key and is
+  /// built afresh at every run.
+  using Plan = std::variant<std::monostate, ShiftPlan, BcastPlan, SlabPlan>;
 
   struct Slot {
     const compile::CommAction* action = nullptr;
-    std::variant<LegacySlot, ShiftPlan, BcastPlan, SlabPlan> plan;
+    Plan plan;
   };
 
   /// Compiled executor state for one PARTI schedule.  Keyed by schedule
@@ -227,18 +255,28 @@ class CommPlans {
   };
 
   // --- build ---------------------------------------------------------------
-  bool build_shift(const compile::CommAction& a, const compile::RefInfo& ref,
-                   ShiftPlan& out);
-  bool build_bcast(const compile::CommAction& a, const compile::RefInfo& ref,
-                   std::span<const std::string> key_names, BcastPlan& out);
-  bool build_slab(const compile::SpmdStmt& s, const compile::CommAction& a,
-                  const compile::RefInfo& ref,
-                  std::span<const std::string> key_names, SlabPlan& out);
+  /// `key_names` null: a per-execution build (every slot built, uncached).
+  StmtPlan build(const compile::SpmdStmt& s,
+                 const std::span<const std::string>* key_names);
+  /// Build one action's plan.  `s` may be null for preheader actions
+  /// (shifts and broadcasts never consult the statement).
+  Plan build_plan(const compile::SpmdStmt* s, const compile::CommAction& a,
+                  const compile::RefInfo& ref, bool cached);
+  /// Would a plan for `a` bake a value the key `key_names` does not cover?
+  bool outside_key(const compile::SpmdStmt& s, const compile::CommAction& a,
+                   const compile::RefInfo& ref,
+                   std::span<const std::string> key_names) const;
+  ShiftPlan build_shift(const compile::CommAction& a,
+                        const compile::RefInfo& ref, bool cached);
+  BcastPlan build_bcast(const compile::CommAction& a,
+                        const compile::RefInfo& ref);
+  SlabPlan build_slab(const compile::SpmdStmt& s, const compile::CommAction& a,
+                      const compile::RefInfo& ref);
   SchedEntry* sched_entry(const parti::SchedulePtr& sched,
                           const std::string& array, bool write);
 
   // --- run ------------------------------------------------------------------
-  void run_slot(const compile::SpmdStmt& s, Slot& slot);
+  void run_plan(Plan& p);
   void run_shift(ShiftPlan& p);
   void run_bcast(BcastPlan& p);
   void run_slab(SlabPlan& p);
@@ -249,8 +287,8 @@ class CommPlans {
                   std::span<const double> values, Cast cast);
   /// Strided copy through a CopyDesc; `to_buffer` packs storage->buf,
   /// otherwise unpacks buf->storage.
-  void run_copy(const CopyDesc& d, char* storage, std::byte* buf,
-                bool to_buffer, native::KernelFn kernel);
+  static void run_copy(const CopyDesc& d, char* storage, std::byte* buf,
+                       bool to_buffer, native::KernelFn kernel);
   /// Compile a comm kernel through the process-global NativeCache, or null
   /// when the native backend is off / unavailable / declined the source.
   native::KernelFn kernel(const std::string& source) const;

@@ -542,8 +542,7 @@ class Builder {
       }
       for (const CommAction& a : s_.pre) {
         if (a.eliminated) continue;
-        if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
-            a.kind == CommKind::kTemporaryShift)
+        if (compile::is_schedule_read(a.kind))
           decline("schedule-based read buffers (PARTI)");
       }
       return;

@@ -116,16 +116,16 @@ class Node {
   }
 
   /// Callbacks the comm-plan builder uses to bake descriptors: the same
-  /// expression evaluation and range derivation as the tree walk, plus the
-  /// tree walk itself for declined slots.  The lambdas capture `this` and
-  /// fire only after construction completes.
+  /// expression evaluation and range derivation as the tree walk.  The
+  /// lambdas capture `this` and fire only after construction completes.
   exec::CommHooks make_comm_hooks() {
     exec::CommHooks h;
     h.eval = [this](const Expr& e) { return eval(e); };
-    h.eval_bound = [this](const Expr& e, const std::string& var, Index val) {
-      frame_[var] = val;
+    h.eval_bound = [this](const Expr& e, std::span<const std::string> vars,
+                          std::span<const Index> vals) {
+      for (size_t k = 0; k < vars.size(); ++k) frame_[vars[k]] = vals[k];
       const exec::Value v = eval(e);
-      frame_.erase(var);
+      for (const std::string& var : vars) frame_.erase(var);
       return v;
     };
     h.ranges = [this](const SpmdStmt& s) {
@@ -138,9 +138,6 @@ class Node {
         out[k].values = std::move(all[k].values);
       }
       return out;
-    };
-    h.legacy = [this](const SpmdStmt& s, const CommAction& a) {
-      run_action(s, a, std::nullopt);
     };
     return h;
   }
@@ -247,16 +244,18 @@ class Node {
         return Value::real(b.dvals[static_cast<size_t>(flat_iter_)]);
       }
       case Access::kSlabBuf: {
+        // Slabs travel as doubles whatever the element type; convert on
+        // read, like a broadcast's scalar slot.
         const Buf& b = env_.bufs[static_cast<size_t>(ref->buffer_id)];
         Index idx = 0;
         for (const std::string& v : ref->slab_vars) {
           const auto& vb = var_state_.at(v);
           idx = idx * vb.count + vb.counter;
         }
-        const Symbol& s = env_.sym(e.name);
-        if (s.type == ast::BaseType::kInteger)
-          return Value::integer(b.ivals[static_cast<size_t>(idx)]);
-        return Value::real(b.dvals[static_cast<size_t>(idx)]);
+        const double d = b.dvals[static_cast<size_t>(idx)];
+        if (env_.sym(e.name).type == ast::BaseType::kInteger)
+          return Value::integer(static_cast<long long>(d));
+        return Value::real(d);
       }
       case Access::kScalarSlot:
         return env_.bufs[static_cast<size_t>(ref->buffer_id)].scalar;
@@ -280,12 +279,17 @@ class Node {
   }
 
   /// Evaluate the subscripts of an array reference into 0-based global
-  /// indices.
+  /// indices, raising the out-of-range diagnostic every rung shares.
   void eval_subs(const Expr& ref, std::vector<Index>& out) {
+    const Dad& dad = env_.dads.at(ref.name);
     out.resize(ref.args.size());
     for (size_t d = 0; d < ref.args.size(); ++d) {
+      const int dim = static_cast<int>(d);
       const Index val = eval(*ref.args[d]).as_i();
-      out[d] = val - env_.lower_of(ref.name, static_cast<int>(d));
+      const long long lo = env_.lower_of(ref.name, dim);
+      out[d] = val - lo;
+      if (out[d] < 0 || out[d] >= dad.extent(dim))
+        throw exec::subscript_error(val, ref.name, lo, dad.extent(dim), dim);
     }
   }
 
@@ -481,10 +485,8 @@ class Node {
         // original program would not have touched).  Collective-consistent:
         // the bounds are replicated scalars, so every processor agrees.
         if (trip_count(lo, hi, st) > 0) {
-          for (const PreheaderAction& pa : s.preheader) {
-            if (pa.action.eliminated) continue;
-            run_hoisted_action(pa);
-          }
+          for (const PreheaderAction& pa : s.preheader)
+            if (!pa.action.eliminated) comm_plans_.run_hoisted(pa);
         }
         for (Index v = lo; st > 0 ? v <= hi : v >= hi; v += st) {
           env_.scalars[s.do_var] = Value::integer(v);
@@ -558,13 +560,9 @@ class Node {
     const exec::ExecPlan& plan = *e->regular->plan;
     // Pre-communication is collective and statement-scoped, not
     // per-element: it runs through compiled descriptors cached in the
-    // same entry (bit-identical messages and charges to the tree walk).
-    // (The planner admits no schedule-based read buffers, so the guarded
-    // iteration ranges those would need are not required here.)
-    comm_plans_.run_pre(s, stmts_.comm(*e, [&] {
-      return comm_plans_.build_stmt(
-          s, stmts_.key_scalars(s, env_, Family::kRegular));
-    }));
+    // same entry.  (The planner admits no schedule-based read buffers, so
+    // the guarded iteration ranges those would need are not required.)
+    run_cached_pre(s, *e, Family::kRegular);
     // Backend ladder: native kernel when enabled and attachable, tape
     // interpreter otherwise.  Both return the same iteration count (and
     // fill the same value/destination streams for a buffered lhs), so the
@@ -602,12 +600,9 @@ class Node {
     if (!pe.plan) return false;
     const exec::IrregularPlan& plan = *pe.plan;
 
-    // Non-schedule pre actions (ghost fills, broadcasts, slabs) run
-    // through the tree walk's machinery in the tree walk's order: they
-    // sort ahead of the schedule class, preserving source order among
-    // themselves.
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated && a.kind != CommKind::kGather) run_action(s, a, {});
+    // Non-schedule pre actions (ghost fills, broadcasts, slabs) first,
+    // through the entry's cached comm part.
+    if (has_regular_pre(s)) run_cached_pre(s, e, Family::kIrregular);
     // Gathers in descending ref-id order (inner indirections first); the
     // inspector closure fires only on a schedule-cache miss.  Inspector
     // and executor take the same native → tape ladder as regular plans:
@@ -675,7 +670,7 @@ class Node {
 
     // Pre-communication: collective — every processor participates even
     // when guarded out of the local loop.
-    run_pre_actions(s, my_ranges);
+    run_comm_once(s, my_ranges);
 
     Index iters = 0;
     std::vector<double> values;   // buffered lhs values
@@ -741,212 +736,48 @@ class Node {
     return env_.read_element(name, g, false).as_d();
   }
 
-  [[nodiscard]] bool stmt_has_iterbuf(const SpmdStmt& s) const {
-    for (const CommAction& a : s.pre) {
-      if (a.eliminated) continue;
-      if (a.kind == CommKind::kPrecompRead || a.kind == CommKind::kGather ||
-          a.kind == CommKind::kTemporaryShift)
-        return true;
-    }
+  [[nodiscard]] static bool stmt_has_iterbuf(const SpmdStmt& s) {
+    for (const CommAction& a : s.pre)
+      if (!a.eliminated && is_schedule_read(a.kind)) return true;
     return false;
   }
 
+  /// Does `s` have an overlap shift, element broadcast or slab to run?
+  [[nodiscard]] static bool has_regular_pre(const SpmdStmt& s) {
+    for (const CommAction& a : s.pre)
+      if (!a.eliminated && !is_schedule_read(a.kind)) return true;
+    return false;
+  }
+
+  /// Flat global id of in-range global indices (eval_subs checked them).
   Index flat_global_of(const std::string& name, std::span<const Index> g) {
     const Dad& dad = env_.dads.at(name);
     Index flat = 0;
-    for (int d = 0; d < dad.rank(); ++d) {
-      const Index gd = g[static_cast<size_t>(d)];
-      if (gd < 0 || gd >= dad.extent(d)) {
-        const long long lo = env_.lower_of(name, d);
-        throw exec::subscript_error(gd + lo, name, lo, dad.extent(d), d);
-      }
-      flat = flat * dad.extent(d) + gd;
-    }
+    for (int d = 0; d < dad.rank(); ++d)
+      flat = flat * dad.extent(d) + g[static_cast<size_t>(d)];
     return flat;
   }
 
   // --- communication actions --------------------------------------------------
-  void run_pre_actions(const SpmdStmt& s,
-                       const std::optional<std::vector<VarRange>>& my_ranges) {
-    // Dependency order: ghost fills / broadcasts / slabs first, then
-    // iteration buffers by descending ref id (inner indirection arrays
-    // resolve before the references that subscript with them).
-    std::vector<const CommAction*> order;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) order.push_back(&a);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const CommAction* x, const CommAction* y) {
-                       auto cls = [](CommKind k) {
-                         return k == CommKind::kPrecompRead ||
-                                        k == CommKind::kGather ||
-                                        k == CommKind::kTemporaryShift
-                                    ? 1
-                                    : 0;
-                       };
-                       if (cls(x->kind) != cls(y->kind))
-                         return cls(x->kind) < cls(y->kind);
-                       return x->ref_id > y->ref_id;
-                     });
-    for (const CommAction* a : order) run_action(s, *a, my_ranges);
+  /// A planned statement's overlap shifts, broadcasts and slabs, through
+  /// the comm part of its cache entry (built under the `family` key).
+  void run_cached_pre(const SpmdStmt& s, exec::StmtCache::Entry& e,
+                      Family family) {
+    comm_plans_.run_pre(s, stmts_.comm(e, [&] {
+      return comm_plans_.build_stmt(s, stmts_.key_scalars(s, env_, family));
+    }));
   }
 
-  void run_action(const SpmdStmt& s, const CommAction& a,
-                  const std::optional<std::vector<VarRange>>& my_ranges) {
-    const RefInfo& ref = s.refs[static_cast<size_t>(a.ref_id)];
-    switch (a.kind) {
-      case CommKind::kOverlapShift:
-        run_overlap_shift(a, ref);
-        break;
-      case CommKind::kBcastElement:
-        run_bcast_element(a, ref);
-        break;
-      case CommKind::kMulticast:
-      case CommKind::kTransfer:
-        run_slab_action(s, a, ref);
-        break;
-      case CommKind::kPrecompRead:
-      case CommKind::kTemporaryShift:
-      case CommKind::kGather:
-        run_read_buffer_action(s, a, ref, my_ranges);
-        break;
-      default:
-        throw RtsError("unexpected pre-action");
-    }
-  }
-
-  /// Preheader actions are context-free by construction (comm_opt hoists
-  /// only overlap shifts and element broadcasts, which carry their own
-  /// RefInfo clone).
-  void run_hoisted_action(const PreheaderAction& pa) {
-    switch (pa.action.kind) {
-      case CommKind::kOverlapShift:
-        run_overlap_shift(pa.action, pa.ref);
-        break;
-      case CommKind::kBcastElement:
-        run_bcast_element(pa.action, pa.ref);
-        break;
-      default:
-        throw RtsError("unexpected preheader action");
-    }
-  }
-
-  void run_overlap_shift(const CommAction& a, const RefInfo& ref) {
-    const Symbol& sm = env_.sym(ref.array);
-    if (sm.type == ast::BaseType::kReal)
-      rts::overlap_shift(gc_, env_.dar.at(ref.array), a.array_dim,
-                         static_cast<int>(a.shift_amount));
-    else if (sm.type == ast::BaseType::kInteger)
-      rts::overlap_shift(gc_, env_.iar.at(ref.array), a.array_dim,
-                         static_cast<int>(a.shift_amount));
-    else
-      rts::overlap_shift(gc_, env_.lar.at(ref.array), a.array_dim,
-                         static_cast<int>(a.shift_amount));
-  }
-
-  /// Owner (canonical line) broadcasts one element to all.
-  void run_bcast_element(const CommAction& a, const RefInfo& ref) {
-    const Dad& dad = env_.dads.at(ref.array);
-    std::vector<Index> g(ref.subs.size());
-    for (size_t d = 0; d < ref.subs.size(); ++d)
-      g[d] = eval(*ref.expr->args[d]).as_i() -
-             env_.lower_of(ref.array, static_cast<int>(d));
-    const std::vector<int> zeros(static_cast<size_t>(c_.mapping.grid.ndims()),
-                                 0);
-    const int root = dad.owner_logical(g, zeros);
-    std::vector<double> data;
-    if (gc_.my_logical() == root)
-      data.push_back(env_.read_element(ref.array, g, false).as_d());
-    gc_.bcast_all(root, data);
-    Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
-    b.scalar = env_.sym(ref.array).type == ast::BaseType::kInteger
-                   ? Value::integer(static_cast<long long>(data.at(0)))
-                   : Value::real(data.at(0));
-  }
-
-  /// Multicast / transfer: the owning grid line packs the slab the
-  /// iterating processors need and sends it along the grid (tree broadcast
-  /// for multicast, line-to-line copy for transfer).
-  void run_slab_action(const SpmdStmt& s, const CommAction& a,
-                       const RefInfo& ref) {
-    const Dad& dad = env_.dads.at(ref.array);
-    // Am I on the source line for every communicated dimension?
-    bool on_root = true;
-    std::vector<std::pair<int, int>> comm_dims;  // (grid_dim, root coord)
-    for (const auto& [d, sub] : a.root_subs) {
-      const Index val =
-          eval(*affine_to_expr(sub)).as_i() - env_.lower_of(ref.array, d);
-      const int owner = dad.owner_coord(d, val);
-      const int gd = dad.dim(d).grid_dim;
-      comm_dims.emplace_back(gd, owner);
-      on_root = on_root && gc_.coord(gd) == owner;
-    }
-
-    // The slab covers the iterating ranges of the slab variables; those
-    // ranges are identical on the source line and the destination(s).
-    std::vector<VarRange> slab_ranges;
-    std::vector<std::string> slab_vars = ref.slab_vars;
-    {
-      auto all = ranges_for_coords_no_guards(s, gc_.my_coords());
-      for (const std::string& v : slab_vars)
-        for (size_t k = 0; k < s.indices.size(); ++k)
-          if (s.indices[k].var == v) slab_ranges.push_back(all[k]);
-    }
-    Index slab_size = 1;
-    for (const VarRange& r : slab_ranges) slab_size *= r.count;
-
-    std::vector<double> slab;
-    if (on_root && slab_size > 0) {
-      slab.reserve(static_cast<size_t>(slab_size));
-      pack_slab(ref, slab_vars, slab_ranges, 0, slab);
-    }
-
-    if (a.kind == CommKind::kMulticast) {
-      for (const auto& [gd, owner] : comm_dims) gc_.multicast(gd, owner, slab);
-    } else {
-      // transfer: source line -> destination line given by the lhs pair.
-      for (size_t k = 0; k < comm_dims.size(); ++k) {
-        const auto& [gd, owner] = comm_dims[k];
-        int dest_coord = owner;
-        if (k < a.dest_subs.size()) {
-          const auto& [ld, dsub] = a.dest_subs[k];
-          const Dad& ldad = env_.dads.at(s.refs[0].array);
-          const Index dval = eval(*affine_to_expr(dsub)).as_i() -
-                             env_.lower_of(s.refs[0].array, ld);
-          dest_coord = ldad.owner_coord(ld, dval);
-        }
-        std::vector<double> out;
-        const bool received =
-            gc_.transfer(gd, owner, dest_coord, std::span<const double>(slab),
-                         out);
-        if (received) slab = std::move(out);
-        else if (gc_.coord(gd) != owner) slab.clear();
-      }
-    }
-    Buf& b = env_.bufs[static_cast<size_t>(a.buffer_id)];
-    b.dvals = std::move(slab);
-  }
-
-  /// Recursively pack the slab in slab-variable order (last var fastest,
-  /// matching the SlabBuf read index).
-  void pack_slab(const RefInfo& ref, const std::vector<std::string>& vars,
-                 const std::vector<VarRange>& ranges, size_t k,
-                 std::vector<double>& out) {
-    if (k == vars.size()) {
-      eval_subs(*ref.expr, gidx_scratch_);
-      out.push_back(env_.read_element(ref.array, gidx_scratch_, true).as_d());
-      return;
-    }
-    VarState st;
-    st.count = ranges[k].count;
-    for (Index i = 0; i < ranges[k].count; ++i) {
-      st.value = ranges[k].value_at(i);
-      st.counter = i;
-      frame_[vars[k]] = st.value;
-      var_state_[vars[k]] = st;
-      pack_slab(ref, vars, ranges, k + 1, out);
-    }
-    frame_.erase(vars[k]);
-    var_state_.erase(vars[k]);
+  /// Pre-communication of a statement that runs on the tree walk: a comm
+  /// plan built for this execution, then the schedule-based read buffers
+  /// over this processor's (guarded) iteration ranges.
+  void run_comm_once(const SpmdStmt& s,
+                     const std::optional<std::vector<VarRange>>& my_ranges) {
+    exec::CommPlans::StmtPlan plan = comm_plans_.build_once(s);
+    comm_plans_.run_pre(s, plan);
+    for (const CommAction* a : plan.reads)
+      run_read_buffer_action(s, *a, s.refs[static_cast<size_t>(a->ref_id)],
+                             my_ranges);
   }
 
   /// Schedule-based read buffers (precomp_read / temporary_shift / gather),
@@ -1230,9 +1061,7 @@ class Node {
   // --- scalar assignment / reduction ------------------------------------------
   void exec_scalar_assign(const SpmdStmt& s) {
     bind_refs(s);
-    std::optional<std::vector<VarRange>> none;
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) run_action(s, a, none);
+    run_comm_once(s, std::nullopt);
     const Value v = eval(*s.rhs);
     const Symbol& sm = env_.sym(s.target);
     env_.scalars[s.target] = sm.type == ast::BaseType::kInteger
@@ -1256,10 +1085,9 @@ class Node {
     Index iters = 0;
     if (exec::StmtCache::Entry* e = planned_entry(s)) {
       // Planned section reduction: the pre-actions (broadcasts, slabs —
-      // the planner admits no schedule-based reads) in exec_reduce's
-      // source order, then the local fold on the plan tape.
-      for (const CommAction& a : s.pre)
-        if (!a.eliminated) run_action(s, a, std::nullopt);
+      // the planner admits no schedule-based reads) through the entry's
+      // cached comm part, then the local fold on the plan tape.
+      if (has_regular_pre(s)) run_cached_pre(s, *e, Family::kRegular);
       iters = exec::run_reduce_plan(*e->regular->plan, plan_scratch_, red);
     } else {
       if (!opt_.skeleton) stmts_.note_tree_stmt();
@@ -1303,8 +1131,7 @@ class Node {
   /// evaluating).  Returns the iteration count.
   Index tree_reduce(const SpmdStmt& s, exec::Reduction& red) {
     auto my_ranges = ranges_for_coords(s, gc_.my_coords());
-    for (const CommAction& a : s.pre)
-      if (!a.eliminated) run_action(s, a, my_ranges);
+    run_comm_once(s, my_ranges);
     exec::ReduceOp op{};
     if (!exec::reduce_op_of(s.reduce_op, op))
       throw RtsError("unsupported reduction " + s.reduce_op);

@@ -260,12 +260,11 @@ std::string run_error(const std::string& src, int p, const interp::Init& init,
 }
 
 /// `bad` breaks one subscript; `good` runs the same statements clean (so
-/// the statement's kernels are known to compile).  The native rung must
-/// raise exactly the tape's message (and, with `tree`, so must the tree
-/// walk).
+/// the statement's kernels are known to compile).  The native rung and the
+/// tree walk must raise exactly the tape's message.
 void expect_same_diagnostic(const std::string& src, int p,
                             const interp::Init& good, const interp::Init& bad,
-                            const std::string& array, bool tree = true) {
+                            const std::string& array) {
   long long runs = 0;
   ASSERT_EQ(run_error(src, p, good, kNative, &runs), "");
   if (native_available()) {
@@ -276,9 +275,7 @@ void expect_same_diagnostic(const std::string& src, int p,
   EXPECT_NE(tape.find("out of range"), std::string::npos) << tape;
   EXPECT_NE(tape.find(" of " + array + " "), std::string::npos) << tape;
   EXPECT_EQ(nat, tape);
-  if (tree) {
-    EXPECT_EQ(run_error(src, p, bad, kTree), tape);
-  }
+  EXPECT_EQ(run_error(src, p, bad, kTree), tape);
 }
 
 TEST(NativeIrregular, OutOfRangeGatherSubscriptSameDiagnostic) {
@@ -308,8 +305,8 @@ TEST(NativeIrregular, OutOfRangeScatterDestinationSameDiagnostic) {
 TEST(NativeIrregular, OutOfRangeReplicatedElementSameDiagnostic) {
   // BIN is replicated and read in place (a whole-array element read in the
   // scatter's destination tape); BIN(I+1) leaves it at I = NP.  The tree
-  // walk reads BIN through the DAD and reports an allocation-extent
-  // invariant instead, so only the tape and the kernel are compared.
+  // walk range-checks the subscripts before reading through the DAD, so
+  // all three rungs raise the same subscript diagnostic.
   const std::string src = R"(PROGRAM PBIN2
       INTEGER NP
       PARAMETER (NP = 12)
@@ -331,7 +328,7 @@ C$ ALIGN W(I) WITH TB(I)
   good.scalars["LAST"] = 11;
   interp::Init bad = good;
   bad.scalars["LAST"] = 12;
-  expect_same_diagnostic(src, 3, good, bad, "BIN", /*tree=*/false);
+  expect_same_diagnostic(src, 3, good, bad, "BIN");
 }
 
 }  // namespace
