@@ -133,6 +133,11 @@ bool NativeCache::ensure_probe() {
   return probe_state_ == 1;
 }
 
+NativeCache::~NativeCache() {
+  // Every compile unlinks its own files, so the directory is empty by now.
+  if (!dir_.empty()) ::rmdir(dir_.c_str());
+}
+
 bool NativeCache::ensure_dir() {
   std::call_once(dir_once_, [this] {
     char tmpl[] = "/tmp/f90d-native-XXXXXX";
@@ -177,15 +182,20 @@ KernelFn NativeCache::compile(const std::string& source) {
   const auto t1 = std::chrono::steady_clock::now();
   const double ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
+  ::unlink(cpp.c_str());
+  ::unlink(log.c_str());
   if (rc != 0) {
+    ::unlink(so.c_str());
     std::lock_guard slk(stats_mu_);
     stats_.compile_ms += ms;
     ++stats_.failures;
     return nullptr;
   }
   // RTLD_LOCAL: every object exports the same kKernelSymbol; keeping each
-  // object's symbols private makes the dlsym below unambiguous.
+  // object's symbols private makes the dlsym below unambiguous.  A loaded
+  // object stays mapped after its file is unlinked.
   void* handle = ::dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);
+  ::unlink(so.c_str());
   if (handle == nullptr) {
     std::lock_guard slk(stats_mu_);
     stats_.compile_ms += ms;

@@ -71,6 +71,11 @@ class NativeCache {
   /// Number of live dlopen handles (the kernels loaded so far).
   std::size_t handle_count();
 
+  /// The scratch directory compiles write into ("" before the first
+  /// compile).  Each compile removes its files once the kernel is loaded,
+  /// and the directory itself goes when the cache is destroyed.
+  [[nodiscard]] const std::string& scratch_dir() const { return dir_; }
+
  private:
   /// One cold compile in progress; waiters block on cv until done.
   struct Inflight {
@@ -81,6 +86,7 @@ class NativeCache {
   };
 
   NativeCache() = default;
+  ~NativeCache();
 
   /// Compile + dlopen with no cache lock held.  Only touches per-call
   /// scratch files (unique names via counter_) and the stats/handles

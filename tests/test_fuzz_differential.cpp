@@ -9,6 +9,10 @@
 // reductions, replicated-lhs concatenations and runtime row subscripts,
 // 1-D and 2-D — and diffs the rungs against each other: the parametric
 // plans rebind on every trip, and must stay bit-identical to the tree.
+// Both legs also compile every program with the §7 comm_opt passes off
+// (CodegenOptions::all_off()): on every rung, the arrays must not depend on
+// which communication the optimizer kept, eliminated or hoisted — an
+// independent check on the one communication path all rungs share.
 //
 // Reproduce a failure with the printed program index and seed:
 //   F90D_FUZZ_SEED=<seed> ctest -R FuzzDifferential
@@ -32,10 +36,13 @@ using interp::Index;
 // --- random program model ----------------------------------------------------
 
 struct Term {
-  enum Kind { kArrShift, kArrU, kArrV, kConst, kIterVar, kStepVar } kind =
-      kConst;
+  /// kInvShift / kInvElem read the never-written array D: loop-invariant
+  /// communication for the comm_opt passes to hoist and eliminate.
+  enum Kind {
+    kArrShift, kArrU, kArrV, kConst, kIterVar, kStepVar, kInvShift, kInvElem
+  } kind = kConst;
   int arr = 0;       ///< 0=A 1=B 2=C
-  long long c = 0;   ///< kArrShift subscript offset
+  long long c = 0;   ///< kArrShift / kInvShift offset, kInvElem subscript
   double cval = 0;   ///< kConst value
 };
 
@@ -89,7 +96,7 @@ FuzzProg gen_prog(std::mt19937& rng) {
     // statement (whose writes are deferred to the post-action executor).
     auto term = [&]() -> Term {
       Term t;
-      switch (pick(6)) {
+      switch (pick(8)) {
         case 0:
         case 1:
           t.kind = Term::kArrShift;
@@ -116,6 +123,14 @@ FuzzProg gen_prog(std::mt19937& rng) {
           t.kind = Term::kConst;
           t.cval = (pick(7) + 1) * 0.25;
           break;
+        case 5:
+          t.kind = Term::kInvShift;
+          t.c = pick(5) - 2;
+          break;
+        case 6:
+          t.kind = Term::kInvElem;
+          t.c = 1 + pick(pr.n);
+          break;
         default:
           t.kind = pick(2) == 0 ? Term::kIterVar : Term::kStepVar;
           break;
@@ -128,7 +143,7 @@ FuzzProg gen_prog(std::mt19937& rng) {
     st.lo = 1;
     st.hi = pr.n;
     for (const Term* t : {&st.t1, &st.t2}) {
-      if (t->kind != Term::kArrShift) continue;
+      if (t->kind != Term::kArrShift && t->kind != Term::kInvShift) continue;
       st.lo = std::max<Index>(st.lo, 1 - t->c);
       st.hi = std::min<Index>(st.hi, pr.n - t->c);
     }
@@ -153,6 +168,13 @@ std::string render_term(const Term& t) {
       if (t.c < 0) os << "-" << -t.c;
       os << ")";
       break;
+    case Term::kInvShift:
+      os << "D(I";
+      if (t.c > 0) os << "+" << t.c;
+      if (t.c < 0) os << "-" << -t.c;
+      os << ")";
+      break;
+    case Term::kInvElem: os << "D(" << t.c << ")"; break;
     case Term::kArrU: os << nm << "(U(I))"; break;
     case Term::kArrV: os << nm << "(V(I))"; break;
     case Term::kConst: {
@@ -172,7 +194,7 @@ std::string render_prog(const FuzzProg& pr) {
   os << "PROGRAM FZ\n"
      << "      INTEGER N\n"
      << "      PARAMETER (N = " << pr.n << ")\n"
-     << "      REAL A(N)\n      REAL B(N)\n      REAL C(N)\n"
+     << "      REAL A(N)\n      REAL B(N)\n      REAL C(N)\n      REAL D(N)\n"
      << "      INTEGER U(N)\n      INTEGER V(N)\n      INTEGER MAP(N)\n"
      << "      INTEGER IT\n"
      << "C$ PROCESSORS P(" << pr.p << ")\n"
@@ -181,6 +203,7 @@ std::string render_prog(const FuzzProg& pr) {
      << "C$ ALIGN A(I) WITH T(I)\n"
      << "C$ ALIGN B(I) WITH T(I)\n"
      << "C$ ALIGN C(I) WITH T(I)\n"
+     << "C$ ALIGN D(I) WITH T(I)\n"
      << "      DO IT = 1, " << pr.steps << "\n";
   for (const FuzzStmt& st : pr.stmts) {
     const char* nm = st.lhs == 0 ? "A" : st.lhs == 1 ? "B" : "C";
@@ -197,6 +220,7 @@ std::string render_prog(const FuzzProg& pr) {
 double init_a(Index i0) { return i0 * 0.5 + 1.0; }
 double init_b(Index i0) { return i0 * 0.25 + 2.0; }
 double init_c(Index i0) { return (i0 % 5) * 1.5; }
+double init_d(Index i0) { return (i0 % 3) + 0.5; }
 
 struct Arrays {
   std::vector<double> a, b, c;
@@ -216,6 +240,8 @@ Arrays oracle_run(const FuzzProg& pr) {
         switch (t.kind) {
           case Term::kArrShift:
             return ar.of(t.arr)[static_cast<size_t>(i + t.c - 1)];
+          case Term::kInvShift: return init_d(i + t.c - 1);
+          case Term::kInvElem: return init_d(t.c - 1);
           case Term::kArrU:
             return ar.of(t.arr)[static_cast<size_t>(
                 pr.u[static_cast<size_t>(i - 1)] - 1)];
@@ -255,13 +281,15 @@ Arrays oracle_run(const FuzzProg& pr) {
 struct SimArrays {
   Arrays ar;
   double sim_time = 0;
+  std::uint64_t messages = 0;
   /// Rank-0 kernel runs beyond one per regular plan lookup: gathers,
   /// scatters and needs enumerations that ran on a kernel.
   long long irregular_kernel_runs = 0;
 };
 
-SimArrays sim_run(const FuzzProg& pr, const interp::RunOptions& ro) {
-  auto compiled = compile::compile_source(render_prog(pr));
+SimArrays sim_run(const FuzzProg& pr, const interp::RunOptions& ro,
+                  const compile::CodegenOptions& codegen = {}) {
+  auto compiled = compile::compile_source(render_prog(pr), {}, codegen);
   machine::SimMachine m = harness::make_machine(pr.p);
   interp::Init init;
   init.ints["U"] = [&pr](std::span<const Index> g) {
@@ -276,12 +304,14 @@ SimArrays sim_run(const FuzzProg& pr, const interp::RunOptions& ro) {
   init.real["A"] = [](std::span<const Index> g) { return init_a(g[0]); };
   init.real["B"] = [](std::span<const Index> g) { return init_b(g[0]); };
   init.real["C"] = [](std::span<const Index> g) { return init_c(g[0]); };
+  init.real["D"] = [](std::span<const Index> g) { return init_d(g[0]); };
   auto r = interp::run_compiled(compiled, m, init, ro);
   SimArrays out;
   out.ar.a = r.real_arrays.at("A");
   out.ar.b = r.real_arrays.at("B");
   out.ar.c = r.real_arrays.at("C");
   out.sim_time = r.machine.exec_time;
+  out.messages = r.machine.total_messages();
   out.irregular_kernel_runs = r.native_runs - r.plan_hits - r.plan_misses;
   return out;
 }
@@ -317,14 +347,26 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
 
   std::mt19937 rng(seed);
   long long irregular_kernel_runs = 0;
+  int opt_sensitive = 0;  ///< programs whose traffic comm_opt changes
   for (int k = 0; k < count; ++k) {
     const FuzzProg pr = gen_prog(rng);
     const Arrays want = oracle_run(pr);
     std::string why;
 
+    // The comm_opt-off compile of the same program on the same rung.
+    auto expect_opt_invariant = [&](const SimArrays& got,
+                                    const interp::RunOptions& ro,
+                                    const char* rung) {
+      const SimArrays off = sim_run(pr, ro, compile::CodegenOptions::all_off());
+      EXPECT_TRUE(same_arrays(off.ar, got.ar, &why))
+          << rung << " comm_opt off vs on: " << why;
+      return off.messages != got.messages;
+    };
+
     SimArrays plan = sim_run(pr, {});
     EXPECT_TRUE(same_arrays(plan.ar, want, &why))
         << "plan vs oracle: " << why;
+    opt_sensitive += expect_opt_invariant(plan, {}, "plan") ? 1 : 0;
 
     interp::RunOptions tro;
     tro.exec_plans = false;
@@ -332,6 +374,7 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
     EXPECT_TRUE(same_arrays(tree.ar, plan.ar, &why))
         << "tree vs plan: " << why;
     EXPECT_DOUBLE_EQ(tree.sim_time, plan.sim_time);
+    expect_opt_invariant(tree, tro, "tree");
 
     if (k % 5 == 0) {
       interp::RunOptions nro;
@@ -340,6 +383,7 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
       EXPECT_TRUE(same_arrays(native.ar, plan.ar, &why))
           << "native vs plan: " << why;
       EXPECT_DOUBLE_EQ(native.sim_time, plan.sim_time);
+      expect_opt_invariant(native, nro, "native");
       irregular_kernel_runs += native.irregular_kernel_runs;
     }
 
@@ -353,6 +397,10 @@ TEST(FuzzDifferential, RandomProgramsAgreeAcrossBackendsAndOracle) {
   // The native legs exercised the PARTI kernels, not just regular plans.
   if (native::NativeCache::instance().available() && count >= 50) {
     EXPECT_GT(irregular_kernel_runs, 0);
+  }
+  // The comm_opt leg compared programs the passes actually changed.
+  if (count >= 50) {
+    EXPECT_GT(opt_sensitive, count / 10);
   }
 }
 
@@ -475,7 +523,8 @@ struct PivotRun {
   long long tree_stmts = 0;
 };
 
-PivotRun pivot_run(const std::string& src, const interp::RunOptions& ro) {
+PivotRun pivot_run(const std::string& src, const interp::RunOptions& ro,
+                   const compile::CodegenOptions& codegen = {}) {
   interp::Init init;
   auto entry = [](std::span<const Index> g) {
     const Index j = g.size() > 1 ? g[1] : 0;
@@ -484,7 +533,7 @@ PivotRun pivot_run(const std::string& src, const interp::RunOptions& ro) {
   };
   init.real["A"] = entry;
   init.real["B"] = [entry](std::span<const Index> g) { return entry(g) * 0.5; };
-  auto r = harness::run_source(src, init, ro);
+  auto r = harness::run_source(src, init, ro, {}, codegen);
   return PivotRun{r.real_arrays, r.machine.exec_time, r.plan_hits,
                   r.tree_stmts};
 }
@@ -520,6 +569,15 @@ TEST(FuzzDifferential, GaussShapedProgramsAgreeAcrossBackends) {
   for (int k = 0; k < count; ++k) {
     const std::string src = gen_pivot_prog(rng);
     std::string why;
+    // The comm_opt-off compile of the same program on the same rung.
+    auto expect_opt_invariant = [&](const PivotRun& got,
+                                    const interp::RunOptions& ro,
+                                    const char* rung) {
+      const PivotRun off =
+          pivot_run(src, ro, compile::CodegenOptions::all_off());
+      EXPECT_TRUE(same_bits(off, got, &why))
+          << rung << " comm_opt off vs on: " << why;
+    };
     interp::RunOptions tro;
     tro.exec_plans = false;
     const PivotRun tree = pivot_run(src, tro);
@@ -529,12 +587,15 @@ TEST(FuzzDifferential, GaussShapedProgramsAgreeAcrossBackends) {
     planned_programs += plan.tree_stmts == 0 ? 1 : 0;
     EXPECT_TRUE(same_bits(plan, tree, &why)) << "plan vs tree: " << why;
     EXPECT_EQ(plan.sim_time, tree.sim_time);
+    expect_opt_invariant(tree, tro, "tree");
+    expect_opt_invariant(plan, {}, "plan");
     if (k % 5 == 0) {
       interp::RunOptions nro;
       nro.native_backend = true;
       const PivotRun native = pivot_run(src, nro);
       EXPECT_TRUE(same_bits(native, tree, &why)) << "native vs tree: " << why;
       EXPECT_EQ(native.sim_time, tree.sim_time);
+      expect_opt_invariant(native, nro, "native");
     }
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "first divergence at program " << k << " (seed "

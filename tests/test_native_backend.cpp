@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 #include "harness.hpp"
 #include "native/jit.hpp"
@@ -351,6 +352,19 @@ TEST(NativeJit, CompilesCachesAndRunsAKernel) {
   EXPECT_EQ(after.compiles, before.compiles + 1);
   EXPECT_GE(after.cache_hits, before.cache_hits + 1);
   EXPECT_GT(after.compile_ms, before.compile_ms);
+}
+
+TEST(NativeJit, CompilesLeaveNoScratchFiles) {
+  if (!native_available())
+    GTEST_SKIP() << "no native toolchain in this environment";
+  // A native Jacobi run compiles (or reuses) its kernels; every compile
+  // removes its .cpp, .log and, once loaded, .so.
+  auto r = harness::run_jacobi(12, 2, 2, 2, "BLOCK", backend_native());
+  EXPECT_GT(r.native_runs, 0);
+  const std::string& dir = native::NativeCache::instance().scratch_dir();
+  ASSERT_FALSE(dir.empty());
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
 }
 
 TEST(NativeJit, LowerDeclinesGracefully) {
