@@ -22,7 +22,6 @@
 #include "rts/reductions.hpp"
 #include "rts/remap.hpp"
 #include "rts/set_bound.hpp"
-#include "rts/shift_ops.hpp"
 
 namespace f90d::interp {
 
@@ -743,6 +742,8 @@ class Node {
   }
 
   /// Does `s` have an overlap shift, element broadcast or slab to run?
+  /// Planned reductions and irregular plans consult their entry's comm
+  /// part only then, so comm-free ones never count as comm-plan lookups.
   [[nodiscard]] static bool has_regular_pre(const SpmdStmt& s) {
     for (const CommAction& a : s.pre)
       if (!a.eliminated && !is_schedule_read(a.kind)) return true;

@@ -37,11 +37,13 @@ struct RunOptions {
   bool schedule_cache = true;
   /// The executor ladder (f90dc --backend).  On (the plan rung), FORALLs
   /// compile to cached execution plans (exec/exec_plan.hpp), their
-  /// pre-communication to compiled comm plans and their PARTI executors
-  /// to compiled schedule executors (exec/comm_plan.hpp).  Off (the tree
-  /// rung) runs every statement and every communication action on the
-  /// tree walk: the uncompiled reference for differential testing and the
-  /// ablation benches.  Skeleton mode never plans.
+  /// pre-communication to cached comm plans and their PARTI executors to
+  /// compiled schedule executors (exec/comm_plan.hpp).  Off (the tree
+  /// rung) runs every statement on the tree walk and PARTI on the generic
+  /// executors — the uncompiled reference for compute and PARTI in
+  /// differential testing and the ablation benches.  Regular
+  /// communication runs through comm plans on every rung (built per
+  /// execution, uncached, off the plan rungs).  Skeleton mode never plans.
   bool exec_plans = true;
   /// The native rung: lower cached plans further to JIT-compiled C++ node
   /// functions (src/native/) and run those, and JIT the comm plans'
@@ -130,8 +132,9 @@ struct ProgramResult {
   /// Communication-plan statistics (processor 0): compiled statement
   /// comm slots and PARTI executors served from / added to their caches,
   /// dropped by redistribute/remap invalidation, and payload bytes moved
-  /// through coalesced contiguous-memcpy pack/unpack runs.  All zero on the
-  /// tree rung (RunOptions::exec_plans off).
+  /// through coalesced contiguous-memcpy pack/unpack runs.  Per-execution
+  /// comm plans are not counted, so all are zero on the tree rung
+  /// (RunOptions::exec_plans off).
   long long comm_plan_hits = 0;
   long long comm_plan_misses = 0;
   long long comm_plan_invalidations = 0;
