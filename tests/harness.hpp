@@ -249,6 +249,33 @@ inline CountedRun run_jacobi_hoisted(int n, int iters, int p, int q,
                     result.machine.total_bytes()};
 }
 
+// --- comm_opt configurations ------------------------------------------------
+
+/// The §7 pass ladder: every pass off, each pass group alone, elimination
+/// plus hoisting, and everything on.
+inline std::vector<std::pair<const char*, compile::CodegenOptions>>
+pass_ladder() {
+  using compile::CodegenOptions;
+  std::vector<std::pair<const char*, CodegenOptions>> configs;
+  configs.emplace_back("all_off", CodegenOptions::all_off());
+  CodegenOptions elim = CodegenOptions::all_off();
+  elim.eliminate_redundant_comm = true;
+  elim.cross_stmt_elimination = true;
+  configs.emplace_back("elimination", elim);
+  CodegenOptions hoist = CodegenOptions::all_off();
+  hoist.hoist_invariant_comm = true;
+  configs.emplace_back("hoist", hoist);
+  CodegenOptions coal = CodegenOptions::all_off();
+  coal.merge_shifts = true;
+  coal.coalesce_messages = true;
+  configs.emplace_back("coalesce", coal);
+  CodegenOptions eh = elim;
+  eh.hoist_invariant_comm = true;
+  configs.emplace_back("elim_plus_hoist", eh);
+  configs.emplace_back("all_on", CodegenOptions{});
+  return configs;
+}
+
 // --- Gaussian elimination ----------------------------------------------------
 
 /// Sequential GE with partial pivoting on the N x (N+1) augmented system

@@ -362,31 +362,10 @@ struct GridShape {
 
 class CommOptSweep : public ::testing::TestWithParam<GridShape> {};
 
-std::vector<std::pair<const char*, CodegenOptions>> pass_ladder() {
-  std::vector<std::pair<const char*, CodegenOptions>> configs;
-  configs.emplace_back("all_off", CodegenOptions::all_off());
-  CodegenOptions elim = CodegenOptions::all_off();
-  elim.eliminate_redundant_comm = true;
-  elim.cross_stmt_elimination = true;
-  configs.emplace_back("elimination", elim);
-  CodegenOptions hoist = CodegenOptions::all_off();
-  hoist.hoist_invariant_comm = true;
-  configs.emplace_back("hoist", hoist);
-  CodegenOptions coal = CodegenOptions::all_off();
-  coal.merge_shifts = true;
-  coal.coalesce_messages = true;
-  configs.emplace_back("coalesce", coal);
-  CodegenOptions eh = elim;  // the ISSUE's acceptance pair
-  eh.hoist_invariant_comm = true;
-  configs.emplace_back("elim_plus_hoist", eh);
-  configs.emplace_back("all_on", CodegenOptions{});
-  return configs;
-}
-
 TEST_P(CommOptSweep, JacobiHoistedIdenticalResultsFewerMessages) {
   const auto [p, q] = GetParam();
   std::map<std::string, std::uint64_t> messages;
-  for (const auto& [name, opt] : pass_ladder()) {
+  for (const auto& [name, opt] : harness::pass_ladder()) {
     auto r = harness::run_jacobi_hoisted(12, 3, p, q, "BLOCK", opt);
     ASSERT_EQ(r.diff.got.size(), r.diff.want.size()) << name;
     EXPECT_LE(harness::max_abs_diff(r.diff), 1e-9)
@@ -415,7 +394,7 @@ TEST_P(CommOptSweep, GaussIdenticalResultsMonotoneMessages) {
   const auto [p, q] = GetParam();
   const int n = 24;
   std::uint64_t off_messages = 0;
-  for (const auto& [name, opt] : pass_ladder()) {
+  for (const auto& [name, opt] : harness::pass_ladder()) {
     auto r = harness::run_gauss_counted(n, p * q, "BLOCK", opt);
     ASSERT_EQ(r.diff.got.size(), r.diff.want.size()) << name;
     EXPECT_LE(

@@ -16,13 +16,11 @@
 // (F90D_GOLDEN_DIR is baked in by CMake and points at the source tree.)
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "apps/sources.hpp"
@@ -33,35 +31,12 @@
 namespace f90d {
 namespace {
 
-using compile::CodegenOptions;
 using interp::Index;
 
 bool g_update_golden = false;
 
 std::string golden_path(const std::string& workload) {
   return std::string(F90D_GOLDEN_DIR) + "/traffic_" + workload + ".txt";
-}
-
-/// The comm_opt configurations of the pass ladder in test_comm_opt.cpp.
-std::vector<std::pair<const char*, CodegenOptions>> pass_ladder() {
-  std::vector<std::pair<const char*, CodegenOptions>> configs;
-  configs.emplace_back("all_off", CodegenOptions::all_off());
-  CodegenOptions elim = CodegenOptions::all_off();
-  elim.eliminate_redundant_comm = true;
-  elim.cross_stmt_elimination = true;
-  configs.emplace_back("elimination", elim);
-  CodegenOptions hoist = CodegenOptions::all_off();
-  hoist.hoist_invariant_comm = true;
-  configs.emplace_back("hoist", hoist);
-  CodegenOptions coal = CodegenOptions::all_off();
-  coal.merge_shifts = true;
-  coal.coalesce_messages = true;
-  configs.emplace_back("coalesce", coal);
-  CodegenOptions eh = elim;
-  eh.hoist_invariant_comm = true;
-  configs.emplace_back("elim_plus_hoist", eh);
-  configs.emplace_back("all_on", CodegenOptions{});
-  return configs;
 }
 
 struct Mode {
@@ -149,7 +124,7 @@ interp::Init fft_init() {
 std::string render(const Workload& w) {
   std::ostringstream out;
   for (const Grid& grid : w.one_d ? kGrids1d : kGrids2d) {
-    for (const auto& [config, codegen] : pass_ladder()) {
+    for (const auto& [config, codegen] : harness::pass_ladder()) {
       std::uint64_t tree_hash = 0;
       for (const Mode& mode : modes()) {
         service::RunSpec spec;
