@@ -165,6 +165,7 @@ KernelFn NativeCache::compile(const std::string& source) {
     std::ofstream out(cpp);
     out << source;
     if (!out) {
+      ::unlink(cpp.c_str());
       std::lock_guard slk(stats_mu_);
       ++stats_.failures;
       return nullptr;
